@@ -171,28 +171,34 @@ def e2e_tune(lines, problems):
     for s in sessions:
         if s["kind"] not in kinds:
             kinds.append(s["kind"])
+    # A run covers every kind on one or more generated job inputs (variants);
+    # each (kind, variant) pair is one input whose sessions must agree.
     first = {}
     for s in sessions:
         if not s["ok"]:
             problems.append("%s session %d: %s" % (s["kind"], s["index"], s["problem"]))
-        ref = first.setdefault(s["kind"], s)
+        ref = first.setdefault((s["kind"], s["variant"]), s)
         if s["digest"] != ref["digest"]:
-            problems.append("%s: session %d result differs from session %d (digest %s vs %s)"
-                            % (s["kind"], s["index"], ref["index"], s["digest"], ref["digest"]))
+            problems.append("%s input %d: session %d result differs from session %d (digest "
+                            "%s vs %s)" % (s["kind"], s["variant"], s["index"], ref["index"],
+                                           s["digest"], ref["digest"]))
+    inputs = sorted(first, key=lambda kv: (kinds.index(kv[0]), kv[1]))
     # Each kind counts once, so a two-mode mix cannot land in the gap
     # between modes depending on how many sessions the clock allowed.
     by_kind = {k: [s["seconds"] for s in sessions if s["kind"] == k] for k in kinds}
+    rss = {i: statistics.median(s["rss_mb"] for s in sessions
+                                if (s["kind"], s["variant"]) == i) for i in inputs}
     metrics = {
         "session_s_p50": statistics.mean(statistics.median(v) for v in by_kind.values()),
         "session_s_p90": statistics.mean(percentile(v, 0.9) for v in by_kind.values()),
         # One client, closed loop: a round of one session per kind.
         "sessions_per_s": len(kinds) / sum(statistics.mean(v) for v in by_kind.values()),
-        "peak_rss_mb": max(statistics.median(s["rss_mb"] for s in sessions if s["kind"] == k)
-                           for k in kinds),
+        # The peak over the run's inputs of their median session peak.
+        "peak_rss_mb": max(rss.values()),
     }
-    metrics.update(quality([(k, first[k]["facts"]) for k in kinds]))
+    metrics.update(quality([(k, first[(k, v)]["facts"]) for k, v in inputs]))
     ok = sum(1 for s in sessions if s["ok"])
-    digest = hashlib.sha256("".join(first[k]["digest"] for k in kinds).encode()).hexdigest()[:16]
+    digest = hashlib.sha256("".join(first[i]["digest"] for i in inputs).encode()).hexdigest()[:16]
     return metrics, len(sessions), len(sessions) - ok, digest, len(sessions)
 
 
@@ -222,9 +228,12 @@ def e2e_fleet(lines, problems):
         problems.append("no fleet schedule ran twice, so nothing was checked for repeats")
     latencies = [x for r in repeats for x in r["latencies"]]
     plans = [first[p] for p in sorted(first)]
+    # Each schedule counts once, however many of its fleets the clock allowed.
+    by_plan = [[x for r in repeats if r["plan"] == p for x in r["latencies"]]
+               for p in sorted(first)]
     metrics = {
-        "session_s_p50": statistics.median(latencies),
-        "session_s_p90": percentile(latencies, 0.9),
+        "session_s_p50": statistics.mean(statistics.median(v) for v in by_plan),
+        "session_s_p90": statistics.mean(percentile(v, 0.9) for v in by_plan),
         "sessions_per_s": sum(r["submitted"] for r in repeats) / sum(r["seconds"] for r in repeats),
         "peak_rss_mb": statistics.median(r["rss_mb"] for r in repeats),
     }

@@ -17,15 +17,16 @@
 // store, then per wave submit / drainAll / commit.
 //
 // --trace 0 runs sessions while they fit in --seconds (at least one per
-// kind, or every fleet schedule plus one repeat) and prints one JSON line per
-// setup sample, session and fleet repeat. --trace 1 is the layer pass: one
-// session per kind (or one fleet), then each layer's public function called
-// again by this file around the same inputs, with a span (name, start, end,
-// parent, session) per call plus the exact work counts. The program is
-// never instrumented: spans live only in this file, and the tracer handed
-// to the program is enabled only in tune-traced.
+// kind and job input, or every fleet schedule plus one repeat) and prints
+// one JSON line per setup sample, session and fleet repeat. --trace 1 is
+// the layer pass: one session per kind (or one fleet), then each layer's
+// public function called again by this file around the same inputs, with a
+// span (name, start, end, parent, session) per call plus the exact work
+// counts. The program is never instrumented: spans live only in this file,
+// and the tracer handed to the program is enabled only in tune-traced.
 //
 // run.py turns these lines into the metrics; this file only measures.
+#include <malloc.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -63,6 +64,7 @@
 #include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -77,12 +79,13 @@ constexpr std::uint64_t kEngineSeed = 42;
 constexpr std::size_t kValidateRepeats = 4;
 constexpr std::uint32_t kRanks = 50;
 // Set-up is sub-second, so each run repeats it and run.py reports the median.
-constexpr int kSetupSamples = 41;
+constexpr std::size_t kSetupSamples = 41;
 constexpr double kWarmupSeconds = 2.0;
 // The end-to-end fleet cycles over this many schedules (one fresh fleet
-// each); quality comes from the first cycle, and the second cycle must
-// reproduce it exactly.
-constexpr std::size_t kFleetPlans = 4;
+// each); quality comes from the first cycle, and every later fleet must
+// reproduce its schedule's first one exactly. Latency moves with the
+// schedule's mix, so more schedules per run steady it across seeds.
+constexpr std::size_t kFleetPlans = 8;
 // The layer pass compares at least this many fresh fleets' store files.
 constexpr std::size_t kDriftRepeats = 6;
 constexpr std::size_t kFleetWaves = 5;
@@ -296,6 +299,22 @@ void runIsolated(F&& body) {
   }
 }
 
+/// Takes set-up samples between a run's sessions rather than in one burst,
+/// as many as keep pace with the share of --seconds that `elapsed` stands
+/// for: the host's speed drifts over tens of milliseconds, and samples
+/// taken in one burst would each land in the same state. `sample` performs
+/// one set-up and returns its seconds; `taken` counts the run's samples.
+template <typename F>
+void takeSetups(std::size_t& taken, double elapsed, double seconds, F&& sample) {
+  const double share = std::min(1.0, elapsed / seconds);
+  for (; static_cast<double>(taken) < share * kSetupSamples; ++taken) {
+    util::Json line = util::Json::makeObject();
+    line.set("type", "setup");
+    line.set("seconds", num(sample()));
+    emit(line);
+  }
+}
+
 // ------------------------------------------------------------ workloads ----
 
 struct TuneWorkload {
@@ -303,22 +322,28 @@ struct TuneWorkload {
   std::vector<std::string> kinds;
   double scale;
   bool traced;
+  /// Job inputs per run, each generated from its own seed derived from the
+  /// bench seed. IOR_64K's random (-z) order moves a session's peak memory
+  /// between two modes about 6 MiB apart, so tune-data covers many orders in
+  /// every run; the metadata kinds' sessions are too long for more than one.
+  std::size_t variants;
 };
 
 const std::vector<TuneWorkload>& tuneWorkloads() {
   static const std::vector<TuneWorkload> all{
-      {"tune-data", {"IOR_64K", "IOR_16M"}, 0.1, false},
-      {"tune-meta", {"MDWorkbench_2K", "MDWorkbench_8K"}, 0.1, false},
-      {"tune-traced", {"IOR_64K", "MDWorkbench_8K"}, 0.1, true},
+      {"tune-data", {"IOR_64K", "IOR_16M"}, 0.1, false, 16},
+      {"tune-meta", {"MDWorkbench_2K", "MDWorkbench_8K"}, 0.1, false, 1},
+      {"tune-traced", {"IOR_64K", "MDWorkbench_8K"}, 0.1, true, 1},
   };
   return all;
 }
 
-/// The workload generator's options for a run. The bench seed feeds the
-/// generator; the engine runs at the CLI's default seed, as
-/// `stellar_cli tune` does.
-workloads::WorkloadOptions jobOptions(const TuneWorkload& w, std::uint64_t seed) {
-  return {.ranks = kRanks, .scale = w.scale, .seed = util::mix64(seed, 0x10AD)};
+/// The workload generator's options for job input `variant` of a run. The
+/// bench seed feeds the generator; the engine runs at the CLI's default
+/// seed, as `stellar_cli tune` does.
+workloads::WorkloadOptions jobOptions(const TuneWorkload& w, std::uint64_t seed,
+                                      std::size_t variant = 0) {
+  return {.ranks = kRanks, .scale = w.scale, .seed = util::mix64(seed, 0x10AD + variant)};
 }
 
 core::StellarOptions engineOptions() {
@@ -416,54 +441,66 @@ util::Json sessionLine(const std::string& workload, const std::string& kind,
 
 void runTuneE2e(const TuneWorkload& w, std::uint64_t seed, double seconds,
                 const fs::path& out) {
-  const workloads::WorkloadOptions options = jobOptions(w, seed);
-  const auto buildJobs = [&] {
-    std::vector<pfs::JobSpec> built;
-    for (const std::string& kind : w.kinds) {
-      built.push_back(workloads::byName(kind, options));
-    }
-    return built;
+  const auto buildJob = [&](std::size_t variant, std::size_t kind) {
+    return workloads::byName(w.kinds[kind], jobOptions(w, seed, variant));
   };
-  std::vector<pfs::JobSpec> jobs = buildJobs();
   const std::string tracePath = (out / "session.trace.json").string();
   // Untimed warm-up: the host's first seconds of load run up to twice as
   // slow, which would otherwise land in the set-up samples and the first
   // sessions' times (the fleet does the same).
   for (const double warm = nowSeconds(); nowSeconds() - warm < kWarmupSeconds;) {
-    runIsolated([&] { (void)runTuneSession(jobs[0], w.traced, tracePath); });
+    runIsolated([&] { (void)runTuneSession(buildJob(0, 0), w.traced, tracePath); });
   }
-  // Set-up: generating the run's workload inputs.
-  for (int k = 0; k < kSetupSamples; ++k) {
+  // Set-up: generating the run's workload inputs. Each session process
+  // generates its own job again, as `stellar_cli tune` does, so its peak
+  // memory holds that one job and not every input of the run; the
+  // generator's memory must also leave this process before the next fork.
+  std::size_t setups = 0;
+  const auto setup = [&] {
     const double t0 = nowSeconds();
-    jobs = buildJobs();
-    util::Json line = util::Json::makeObject();
-    line.set("type", "setup");
-    line.set("seconds", num(nowSeconds() - t0));
-    emit(line);
-  }
+    double t1 = 0.0;
+    {
+      std::vector<pfs::JobSpec> jobs;
+      for (std::size_t v = 0; v < w.variants; ++v) {
+        for (std::size_t kind = 0; kind < w.kinds.size(); ++kind) {
+          jobs.push_back(buildJob(v, kind));
+        }
+      }
+      t1 = nowSeconds();
+    }
+    malloc_trim(0);
+    return t1 - t0;
+  };
   const double start = nowSeconds();
-  std::vector<double> last(jobs.size(), 0.0);
+  const std::size_t kinds = w.kinds.size();
+  std::vector<double> last(kinds, 0.0);
   std::size_t index = 0;
   std::size_t skipped = 0;
-  // Kinds take turns and each runs at least once; after that a kind is
-  // skipped once one more of its sessions would end past --seconds, so
-  // long kinds do not overrun the clock while short ones fill it.
-  for (std::size_t k = 0; skipped < jobs.size(); k = (k + 1) % jobs.size()) {
-    if (index >= jobs.size() && nowSeconds() - start + last[k] > seconds) {
+  // Kinds take turns, the job input moving on after each round, and every
+  // kind runs once on every input; after that a kind is skipped once one
+  // more of its sessions would end past --seconds, so long kinds do not
+  // overrun the clock while short ones fill it.
+  for (std::size_t turn = 0; skipped < kinds; ++turn) {
+    const std::size_t k = turn % kinds;
+    const std::size_t v = (turn / kinds) % w.variants;
+    if (index >= kinds * w.variants && nowSeconds() - start + last[k] > seconds) {
       ++skipped;
       continue;
     }
     skipped = 0;
     const double t0 = nowSeconds();
     runIsolated([&] {
-      const TuneSession s = runTuneSession(jobs[k], w.traced, tracePath);
+      const TuneSession s = runTuneSession(buildJob(v, k), w.traced, tracePath);
       util::Json line = sessionLine(w.name, w.kinds[k], index, s);
+      line.set("variant", count(v));
       line.set("rss_mb", num(peakRssMb()));
       emit(line);
     });
     last[k] = nowSeconds() - t0;
     ++index;
+    takeSetups(setups, nowSeconds() - start, seconds, setup);
   }
+  takeSetups(setups, seconds, seconds, setup);
 }
 
 /// What one session's replay needs: its job, a simulator configured as the
@@ -654,6 +691,35 @@ std::vector<std::vector<service::SubmitOptions>> fleetPlan(std::uint64_t seed,
   return waves;
 }
 
+/// A schedule as a `stellard` request batch: one JSON request per line, a
+/// blank line closing each wave.
+std::string planText(const std::vector<std::vector<service::SubmitOptions>>& plan) {
+  std::string text;
+  for (const std::vector<service::SubmitOptions>& wave : plan) {
+    for (const service::SubmitOptions& request : wave) {
+      text += request.toJson().dump() + "\n";
+    }
+    text += "\n";
+  }
+  return text;
+}
+
+/// Reads a request batch back the way `stellard` reads its input.
+std::vector<std::vector<service::SubmitOptions>> parsePlan(const std::string& text) {
+  std::vector<std::vector<service::SubmitOptions>> plan(1);
+  for (const std::string& line : util::split(text, '\n')) {
+    if (!line.empty()) {
+      plan.back().push_back(service::SubmitOptions::fromJson(util::Json::parse(line)));
+    } else if (!plan.back().empty()) {
+      plan.emplace_back();
+    }
+  }
+  if (plan.back().empty()) {
+    plan.pop_back();
+  }
+  return plan;
+}
+
 service::ServiceOptions fleetOptions(const fs::path& dir, obs::CounterRegistry* registry) {
   service::ServiceOptions options;
   options.storePath = (dir / "fleet.jsonl").string();
@@ -753,28 +819,39 @@ util::Json repeatLine(std::size_t index, const FleetRepeat& r) {
 }
 
 void runFleetE2e(std::uint64_t seed, double seconds, const fs::path& out) {
-  std::vector<std::vector<std::vector<service::SubmitOptions>>> plans;
+  std::vector<std::string> batches;
   for (std::size_t p = 0; p < kFleetPlans; ++p) {
-    plans.push_back(fleetPlan(seed, p));
+    batches.push_back(planText(fleetPlan(seed, p)));
   }
+  const auto parseAll = [&] {
+    std::vector<std::vector<std::vector<service::SubmitOptions>>> parsed;
+    for (const std::string& batch : batches) {
+      parsed.push_back(parsePlan(batch));
+    }
+    return parsed;
+  };
+  auto plans = parseAll();
   for (const double warm = nowSeconds(); nowSeconds() - warm < kWarmupSeconds;) {
     runIsolated([&] { (void)runFleetRepeat(plans[0], out / "fleet"); });
   }
-  // Set-up samples: a fleet over an empty store, opened and closed.
-  for (int k = 0; k < kSetupSamples; ++k) {
-    const fs::path dir = out / "fleet-setup";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+  // Set-up samples: what `stellard` does before its first session, for the
+  // run's request batches: read the requests, start the service and open an
+  // empty store. The service alone takes under 0.1 ms, most of it starting
+  // worker threads, which varies with the host's load.
+  const fs::path setupDir = out / "fleet-setup";
+  std::size_t setups = 0;
+  const auto setup = [&] {
+    fs::remove_all(setupDir);
+    fs::create_directories(setupDir);
     obs::CounterRegistry registry;
     const double t0 = nowSeconds();
-    auto svc = std::make_unique<service::TuningService>(fleetOptions(dir, &registry));
-    util::Json line = util::Json::makeObject();
-    line.set("type", "setup");
-    line.set("seconds", num(nowSeconds() - t0));
-    emit(line);
+    plans = parseAll();
+    auto svc = std::make_unique<service::TuningService>(fleetOptions(setupDir, &registry));
+    const double t1 = nowSeconds();
     svc.reset();
-    fs::remove_all(dir);
-  }
+    fs::remove_all(setupDir);
+    return t1 - t0;
+  };
   const double start = nowSeconds();
   std::size_t index = 0;
   double lastRepeat = 0.0;
@@ -788,7 +865,9 @@ void runFleetE2e(std::uint64_t seed, double seconds, const fs::path& out) {
     });
     lastRepeat = nowSeconds() - repeatStart;
     ++index;
+    takeSetups(setups, nowSeconds() - start, seconds, setup);
   }
+  takeSetups(setups, seconds, seconds, setup);
 }
 
 /// The fleet layer pass: one fleet through the service (service spans from
