@@ -74,6 +74,10 @@ ExperienceRecord ExperienceRecord::fromJson(const util::Json& json) {
   return rec;
 }
 
+bool canonicalOrder(const ExperienceRecord& a, const ExperienceRecord& b) noexcept {
+  return a.tenant != b.tenant ? a.tenant < b.tenant : a.id < b.id;
+}
+
 ExperienceRecord recordFromRun(const core::TuningRunResult& run, std::uint64_t seed,
                                std::string model, std::string faults) {
   ExperienceRecord rec;
@@ -289,6 +293,7 @@ void ExperienceStore::compact(const CompactionHooks& hooks) {
       live.push_back(std::move(rec));
     }
   }
+  std::sort(live.begin(), live.end(), canonicalOrder);  // ids are unique
   records_ = std::move(live);
   noteCounter("exp.store.compactions");
   if (path_.empty()) {

@@ -66,6 +66,13 @@ struct ExperienceRecord {
   [[nodiscard]] static ExperienceRecord fromJson(const util::Json& json);
 };
 
+/// Canonical record order: tenant, then id. Compaction writes a generation
+/// in this order and FleetStore publishes its recall snapshots in it, so
+/// both depend only on the set of records, not on the order in which
+/// concurrent appends and shards arrived.
+[[nodiscard]] bool canonicalOrder(const ExperienceRecord& a,
+                                  const ExperienceRecord& b) noexcept;
+
 /// Files a completed tuning run (the CLI and CampaignRunner call this).
 [[nodiscard]] ExperienceRecord recordFromRun(const core::TuningRunResult& run,
                                              std::uint64_t seed, std::string model,
@@ -127,8 +134,8 @@ class ExperienceStore final : public core::WarmStartProvider {
   };
 
   /// Atomically rewrites the file as pure record lines (journal folded
-  /// in), dropping stale records. No-op for memory-only stores beyond the
-  /// in-memory eviction.
+  /// in) in canonicalOrder, dropping stale records. Memory-only stores get
+  /// the same eviction and ordering without touching disk.
   void compact() { compact(CompactionHooks{}); }
   void compact(const CompactionHooks& hooks);
 

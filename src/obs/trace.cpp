@@ -102,13 +102,8 @@ void Tracer::commit(TraceRecord&& record) {
 }
 
 std::vector<TraceRecord> Tracer::snapshot() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
   std::vector<TraceRecord> out;
-  out.reserve(ring_.size());
-  // `head_` is the oldest slot once the ring has wrapped.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
+  forEach([&out](const TraceRecord& record) { out.push_back(record); });
   return out;
 }
 

@@ -6,6 +6,10 @@
 //  - attached but disabled   -> one relaxed atomic load per site
 //  - enabled                 -> record assembly + one mutex-guarded push
 //    (the harness runs repeats on a thread pool, so commits synchronize)
+//  - Chrome export           -> one in-place walk of the ring (forEach)
+//    that formats straight into a buffered file; it holds the tracer
+//    mutex for its whole duration, so a commit racing an export waits
+//    for the file to be written
 //
 // Spans carry a static category string ("sim", "rpc", "tuning", "harness")
 // that becomes the Chrome trace `cat` field; args are typed util::Json
@@ -100,6 +104,20 @@ class Tracer {
   /// Chronologically ordered copy of the ring contents.
   [[nodiscard]] std::vector<TraceRecord> snapshot() const;
 
+  /// Visits the ring in place, oldest record first, under the tracer
+  /// mutex: no copy is made, commits from other threads block until the
+  /// walk returns, and `visit` must not call back into this tracer.
+  template <typename Visit>
+  void forEach(Visit&& visit) const {
+    const std::lock_guard<std::mutex> lock{mutex_};
+    // `head_` is the oldest slot once the ring has wrapped.
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      visit(ring_[(head_ + i) % ring_.size()]);
+    }
+  }
+
+  /// Ring slots.
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t recorded() const;  ///< total committed
   [[nodiscard]] std::uint64_t dropped() const;   ///< overwritten by the ring
   void clear();

@@ -36,7 +36,13 @@ void splitPath(const std::string& path, std::string& dir, std::string& name) {
 FleetStore::FleetStore(std::string basePath, exp::StoreOptions options)
     : basePath_(std::move(basePath)), options_(options),
       base_(basePath_, options) {
+  const util::MutexLock lock{commitMutex_};
   publishSnapshot();
+}
+
+std::size_t FleetStore::baseSize() const {
+  const util::MutexLock lock{commitMutex_};
+  return base_.size();
 }
 
 std::shared_ptr<const exp::ExperienceStore> FleetStore::snapshot() const {
@@ -68,6 +74,7 @@ void FleetStore::deferOutcome(std::vector<std::string> sourceIds, bool regressed
 }
 
 std::size_t FleetStore::commit() {
+  const util::MutexLock commitLock{commitMutex_};
   std::size_t absorbed = 0;
   if (basePath_.empty()) {
     std::map<std::string, std::vector<exp::ExperienceRecord>> pending;
@@ -75,17 +82,13 @@ std::size_t FleetStore::commit() {
       const util::MutexLock lock{mutex_};
       pending.swap(pending_);
     }
-    for (auto& [tenant, records] : pending) {  // std::map: tenant-sorted
-      std::sort(records.begin(), records.end(),
-                [](const exp::ExperienceRecord& a, const exp::ExperienceRecord& b) {
-                  return a.id < b.id;
-                });
+    for (auto& [tenant, records] : pending) {
       for (exp::ExperienceRecord& record : records) {
         (void)base_.append(std::move(record));
         ++absorbed;
       }
     }
-    base_.compact();
+    base_.compact();  // puts the base in canonical order
   } else {
     std::string dir;
     std::string name;
@@ -126,7 +129,11 @@ std::size_t FleetStore::commit() {
 void FleetStore::publishSnapshot() {
   exp::StoreOptions snapOptions = options_;
   auto snap = std::make_shared<exp::ExperienceStore>("", snapOptions);
-  for (exp::ExperienceRecord& record : base_.records()) {
+  // Compaction already orders the base; a base loaded from an older
+  // generation may not be, and the snapshot's order is part of its contract.
+  std::vector<exp::ExperienceRecord> records = base_.records();
+  std::sort(records.begin(), records.end(), exp::canonicalOrder);
+  for (exp::ExperienceRecord& record : records) {
     (void)snap->append(std::move(record));
   }
   snapshot_.store(std::shared_ptr<const exp::ExperienceStore>(std::move(snap)),

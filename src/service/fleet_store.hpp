@@ -9,10 +9,11 @@
 //   - every engine run RECALLS from an immutable snapshot of the base
 //     store, published through std::atomic<std::shared_ptr<const ...>> —
 //     lock-free reads, safe against a concurrent commit;
-//   - a single-writer COMMIT (service idle) re-lists the shard directory
-//     under the base-store lock, absorbs the shards, folds in deferred
-//     warm-start outcomes, compacts, then builds a fresh snapshot and
-//     swaps the pointer.
+//   - a single-writer COMMIT (service idle; concurrent calls serialize on
+//     their own mutex) re-lists the shard directory under the base-store
+//     lock, absorbs the shards, folds in deferred warm-start outcomes,
+//     compacts, then builds a fresh snapshot in canonical (tenant, id)
+//     order and swaps the pointer.
 //
 // Because the snapshot only ever changes at commit points (never while a
 // session is in flight), a session's result is a pure function of its cell
@@ -42,7 +43,7 @@ class FleetStore {
 
   [[nodiscard]] const std::string& basePath() const noexcept { return basePath_; }
   /// Records in the committed base generation.
-  [[nodiscard]] std::size_t baseSize() const { return base_.size(); }
+  [[nodiscard]] std::size_t baseSize() const;
 
   /// Lock-free read of the current immutable recall snapshot.
   [[nodiscard]] std::shared_ptr<const exp::ExperienceStore> snapshot() const;
@@ -63,8 +64,11 @@ class FleetStore {
   /// Single-writer commit: absorb every `<name>.tenant-*` shard in the
   /// store directory (listed under the base-store lock — satellite fix for
   /// shards appearing mid-scan), fold in deferred outcomes, compact, and
-  /// swap in a fresh snapshot. The caller must guarantee no session is in
-  /// flight. Returns the number of records absorbed.
+  /// swap in a fresh snapshot whose records are in exp::canonicalOrder, so
+  /// any split of one append stream into commits publishes the same
+  /// snapshot. The caller must guarantee no session is in flight;
+  /// concurrent commits run one at a time. Returns the number of records
+  /// absorbed.
   std::size_t commit();
 
  private:
@@ -74,12 +78,14 @@ class FleetStore {
     bool confirmed = false;
   };
 
-  void publishSnapshot();
+  void publishSnapshot() STELLAR_REQUIRES(commitMutex_);
   void noteCounter(const char* name, double delta = 1.0) const;
 
   std::string basePath_;
   exp::StoreOptions options_;
-  exp::ExperienceStore base_;  // thread-safe on its own mutex
+  /// Held for a whole commit: the base generation changes only under it.
+  mutable util::Mutex commitMutex_;
+  exp::ExperienceStore base_ STELLAR_GUARDED_BY(commitMutex_);
   std::atomic<std::shared_ptr<const exp::ExperienceStore>> snapshot_;
   mutable util::Mutex mutex_;
   /// Memory-only mode: pending appends by tenant (file mode uses shards).

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 
 namespace stellar::util {
@@ -246,30 +246,6 @@ class Parser {
   int depth_ = 0;
 };
 
-void escapeInto(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 }  // namespace
 
 bool Json::asBool() const {
@@ -402,21 +378,11 @@ void Json::dumpTo(std::string& out, int indent, int depth) const {
     case Type::Bool:
       out += bool_ ? "true" : "false";
       break;
-    case Type::Number: {
-      if (std::isfinite(number_) && number_ == std::floor(number_) &&
-          std::fabs(number_) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(number_));
-        out += buf;
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.12g", number_);
-        out += buf;
-      }
+    case Type::Number:
+      appendJsonNumber(out, number_);
       break;
-    }
     case Type::String:
-      escapeInto(out, string_);
+      appendJsonString(out, string_);
       break;
     case Type::Array: {
       out.push_back('[');
@@ -440,7 +406,7 @@ void Json::dumpTo(std::string& out, int indent, int depth) const {
           out.push_back(',');
         }
         newline(depth + 1);
-        escapeInto(out, object_[i].first);
+        appendJsonString(out, object_[i].first);
         out += indent >= 0 ? ": " : ":";
         object_[i].second.dumpTo(out, indent, depth + 1);
       }
@@ -471,6 +437,48 @@ bool Json::operator==(const Json& other) const {
     case Type::Object: return object_ == other.object_;
   }
   return false;
+}
+
+void appendJsonNumber(std::string& out, double value) {
+  char buf[32];
+  std::to_chars_result res{};
+  if (std::isfinite(value) && value == std::floor(value) && std::fabs(value) < 9.0e15) {
+    res = std::to_chars(buf, buf + sizeof buf, static_cast<long long>(value));
+  } else {
+    // The standard defines general format with a precision as printf's
+    // "%.12g" (NaN and infinities as "nan"/"inf" with their sign).
+    res = std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, 12);
+  }
+  out.append(buf, static_cast<std::size_t>(res.ptr - buf));
+}
+
+void appendJsonString(std::string& out, std::string_view value) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out.push_back('"');
+  std::size_t run = 0;  // start of the pending run of bytes copied verbatim
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    const auto c = static_cast<unsigned char>(value[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(value.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(escape, sizeof escape);
+      }
+    }
+  }
+  out.append(value.data() + run, value.size() - run);
+  out.push_back('"');
 }
 
 }  // namespace stellar::util

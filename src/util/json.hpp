@@ -85,6 +85,11 @@ class Json {
   /// Serializes; indent < 0 yields compact output.
   [[nodiscard]] std::string dump(int indent = -1) const;
 
+  /// Appends this value to `out` exactly as dump(indent) would write it
+  /// `depth` levels deep in an enclosing document (streaming writers emit
+  /// the document's frame themselves and delegate nested values here).
+  void dumpTo(std::string& out, int indent, int depth) const;
+
   /// Parses a complete document; throws JsonError carrying 1-based
   /// line/column (plus byte offset) of the first syntax error.
   [[nodiscard]] static Json parse(std::string_view text);
@@ -92,8 +97,6 @@ class Json {
   [[nodiscard]] bool operator==(const Json& other) const;
 
  private:
-  void dumpTo(std::string& out, int indent, int depth) const;
-
   Type type_ = Type::Null;
   bool bool_ = false;
   double number_ = 0.0;
@@ -101,5 +104,16 @@ class Json {
   Array array_;
   Object object_;
 };
+
+/// The scalar half of Json::dump, for writers that stream a document
+/// instead of building one: the one place the JSON number and string
+/// formats are defined.
+///  - appendJsonNumber: integral values below 9e15 in magnitude as plain
+///    integers ("%lld"); everything else, NaN and infinities included, as
+///    "%.12g" would print it.
+///  - appendJsonString: a quoted literal; '"', '\\' and control characters
+///    escaped, every other byte (UTF-8 included) copied through.
+void appendJsonNumber(std::string& out, double value);
+void appendJsonString(std::string& out, std::string_view value);
 
 }  // namespace stellar::util

@@ -3,9 +3,11 @@
 // service's back), and memory-only mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -267,6 +269,60 @@ TEST(FleetStore, ConcurrentJournalWritersSurviveTheDiskPath) {
   FleetStore reopened{base};
   EXPECT_EQ(reopened.snapshot()->size(),
             static_cast<std::size_t>(kWriters) * kRecordsPerWriter);
+}
+
+TEST(FleetStore, AnySplitOfOneAppendStreamPublishesTheSameSnapshot) {
+  // Commit-order independence: the snapshot (and, on disk, the committed
+  // base file) depends only on the records appended, not on where the
+  // commits fell between the appends or the order tenants' appends
+  // interleaved in.
+  std::vector<std::pair<std::string, std::string>> stream;  // (tenant, id)
+  for (int t = 0; t < 3; ++t) {
+    for (int i = 0; i < 8; ++i) {
+      stream.emplace_back("tenant-" + std::to_string(t),
+                          "cell-" + std::to_string(t) + "-" + std::to_string(i));
+    }
+  }
+  std::shuffle(stream.begin(), stream.end(), std::mt19937{11});
+
+  const auto run = [&stream](const std::string& base, std::size_t every) {
+    std::string snapshotDoc;
+    {
+      FleetStore fleet{base};
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        fleet.appendRecord(stream[i].first, makeRecord(stream[i].second, "IOR_64K", 0.5));
+        if ((i + 1) % every == 0) {
+          (void)fleet.commit();
+        }
+      }
+      (void)fleet.commit();
+      for (const exp::ExperienceRecord& rec : fleet.snapshot()->records()) {
+        snapshotDoc += rec.toJson().dump() + "\n";
+      }
+      // Identical fingerprints tie on similarity: recall orders them by id.
+      const auto matches = fleet.snapshot()->recall(
+          fleet.snapshot()->records().front().fingerprint, 5, 0.0);
+      EXPECT_EQ(matches.size(), 5U);
+      for (std::size_t i = 1; i < matches.size(); ++i) {
+        EXPECT_LT(matches[i - 1].record.id, matches[i].record.id);
+      }
+    }
+    return std::make_pair(snapshotDoc,
+                          base.empty() ? std::string{} : util::readFile(base));
+  };
+
+  const auto once = run("", stream.size());
+  for (const std::size_t every : {1U, 3U, 7U}) {
+    EXPECT_EQ(run("", every), once) << "memory mode, commit every " << every;
+  }
+  const fs::path dir = freshDir("split");
+  const auto onceOnDisk = run((dir / "once.jsonl").string(), stream.size());
+  EXPECT_EQ(onceOnDisk.first, once.first);
+  for (const std::size_t every : {1U, 3U, 7U}) {
+    const std::string base =
+        (dir / ("every-" + std::to_string(every) + ".jsonl")).string();
+    EXPECT_EQ(run(base, every), onceOnDisk) << "disk mode, commit every " << every;
+  }
 }
 
 }  // namespace

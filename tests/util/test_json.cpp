@@ -1,5 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "util/json.hpp"
 
 namespace stellar::util {
@@ -70,6 +79,50 @@ TEST(Json, IntegersDumpWithoutDecimalPoint) {
   EXPECT_EQ(Json{42}.dump(), "42");
   EXPECT_EQ(Json{-3}.dump(), "-3");
   EXPECT_EQ(Json{2.5}.dump(), "2.5");
+}
+
+TEST(Json, NumberFormatIsPrintfs) {
+  // The writer's number rule, stated with printf: integral values below
+  // 9e15 in magnitude as "%lld", everything else as "%.12g".
+  const auto printfFormat = [](double v) {
+    char buf[64];
+    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.0e15) {
+      std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+    } else {
+      std::snprintf(buf, sizeof buf, "%.12g", v);
+    }
+    return std::string{buf};
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 9e15 - 1, 9e15, 9e15 + 1,
+                                -9e15 + 1, -9e15, 1e-7, 0.1, 1.0 / 3, 2.5, 1e300,
+                                -1e-300, 4.94e-324, 1.7976931348623157e308,
+                                123456789012.5, 999999999999.5, 0.5e-4, 1e21,
+                                std::nan(""), -std::nan(""), inf, -inf};
+  // Random doubles over the whole bit range plus magnitudes near the
+  // fixed/exponent switch, where "%g" rounding is easiest to get wrong.
+  std::mt19937_64 rng{7};
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);
+    const int exponent = -static_cast<int>(rng() % 90);
+    values.push_back(std::ldexp(static_cast<double>(rng() >> 11), exponent));
+  }
+  for (const double v : values) {
+    std::string out;
+    appendJsonNumber(out, v);
+    ASSERT_EQ(out, printfFormat(v)) << "bits of " << v;
+    ASSERT_EQ(Json{v}.dump(), out);
+  }
+}
+
+TEST(Json, StringEscapesAreMinimal) {
+  std::string out;
+  appendJsonString(out, std::string{"a\"\\/\b\f\n\r\t"} + '\x01' + '\x1f' + ' ' + '\x7f' +
+                            "\xc3\xa9" + std::string(1, '\0'));
+  EXPECT_EQ(out, "\"a\\\"\\\\/\\b\\f\\n\\r\\t\\u0001\\u001f \x7f\xc3\xa9\\u0000\"");
 }
 
 TEST(Json, RejectsMalformedDocuments) {
