@@ -9,9 +9,11 @@
 //   faultfree  empty FaultPlan attached (the faults layer present but
 //              inactive: the cost of its null-injector guards)
 //
-// The acceptance bar is "disabled" and "faultfree" within 2% of
-// "baseline". Iterations alternate between arms so slow drift (thermal,
-// other tenants) hits all arms equally.
+// The acceptance bars are "disabled" and "faultfree" within 2% of
+// "baseline", and "enabled" within 1.25x of it: enabled tracing costs a
+// few records per run (spans plus the per-run RPC aggregate), not one
+// record per RPC. Iterations alternate between arms so slow drift
+// (thermal, other tenants) hits all arms equally.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -115,7 +117,10 @@ int main(int argc, char** argv) {
               "faults (empty plan)", minimum(tFaultfree) * 1e3, median(tFaultfree) * 1e3,
               faultfreeOverhead);
 
-  const bool pass = disabledOverhead < 2.0 && faultfreeOverhead < 2.0;
-  std::printf("disabled-overhead budget: <2%%  ->  %s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  const bool disabledPass = disabledOverhead < 2.0 && faultfreeOverhead < 2.0;
+  const bool enabledPass = enabledOverhead <= 25.0;
+  std::printf("disabled-overhead budget: <2%%  ->  %s\n", disabledPass ? "PASS" : "FAIL");
+  std::printf("enabled-overhead budget: <=1.25x  ->  %s\n",
+              enabledPass ? "PASS" : "FAIL");
+  return disabledPass && enabledPass ? 0 : 1;
 }

@@ -5,7 +5,12 @@
 //  - no tracer attached      -> a null-pointer check at each site
 //  - attached but disabled   -> one relaxed atomic load per site
 //  - enabled                 -> record assembly + one mutex-guarded push
-//    (the harness runs repeats on a thread pool, so commits synchronize)
+//    per span or instant (the harness runs repeats on a thread pool, so
+//    commits synchronize). Records are per span, not per simulated
+//    operation: the PFS client folds its RPCs and DLM lock waits into a
+//    plain per-run tally (pfs/rpc_tally.hpp) that rides on the run's
+//    `pfs.run:<job>` span as one `rpc` arg, so a tuning session records
+//    ~10^3-10^4 records however many RPCs it simulates
 //  - Chrome export           -> one in-place walk of the ring (forEach)
 //    that formats straight into a buffered file; it holds the tracer
 //    mutex for its whole duration, so a commit racing an export waits

@@ -591,14 +591,19 @@ void ClientRuntime::deliverRpc(RpcDelivery d) {
   });
 }
 
+sim::Callback ClientRuntime::tallied(std::size_t kind, std::uint64_t bytes,
+                                    sim::Callback complete) {
+  return sim::Callback{engine_.arena(), [this, kind, bytes, launched = engine_.now(),
+                                         complete = std::move(complete)]() mutable {
+    rpcTally_.add(kind, bytes, engine_.now() - launched);
+    complete();
+  }};
+}
+
 void ClientRuntime::submitMeta(std::uint32_t nodeIdx, MetaOpKind kind,
                                std::uint32_t stripeCount, bool modifying,
                                std::function<void()> onDone) {
   ++counters_.metaRpcs;
-  if (traceOn_) {
-    tracer_->instant("rpc", std::string("meta:") + metaOpName(kind),
-                     {{"sim_time", util::Json(engine_.now())}});
-  }
   NodeState& node = nodes_[nodeIdx];
   const double latency = cluster_.network.messageLatency;
   const DoneFn done = wrap(std::move(onDone));
@@ -623,6 +628,9 @@ void ClientRuntime::submitMeta(std::uint32_t nodeIdx, MetaOpKind kind,
         }
         (*done)();
       }};
+      if (traceOn_) {
+        d.complete = tallied(RpcTally::meta(kind), 0, std::move(d.complete));
+      }
       deliverRpc(std::move(d));
     });
   };
@@ -746,12 +754,6 @@ void ClientRuntime::issueWriteRpc(std::uint32_t nodeIdx, std::uint32_t ost, File
   ++counters_.dataRpcs;
   counters_.writeRpcBytes += bytes;
   const std::uint32_t globalOst = osts_.globalIndex(ost);
-  if (traceOn_) {
-    tracer_->instant("rpc", "write",
-                     {{"ost", util::Json(static_cast<std::int64_t>(globalOst))},
-                      {"bytes", util::Json(static_cast<std::int64_t>(bytes))},
-                      {"sim_time", util::Json(engine_.now())}});
-  }
   NodeState& node = nodes_[nodeIdx];
   ++node.flushInFlight[file];
   const std::size_t l = lane(nodeIdx, ost);
@@ -795,6 +797,9 @@ void ClientRuntime::issueWriteRpc(std::uint32_t nodeIdx, std::uint32_t ost, File
         }
       }
     }};
+    if (traceOn_) {
+      d.complete = tallied(RpcTally::kWrite, bytes, std::move(d.complete));
+    }
     deliverRpc(std::move(d));
   });
 }
@@ -805,12 +810,6 @@ void ClientRuntime::issueReadRpc(std::uint32_t nodeIdx, std::uint32_t ost, FileI
   ++counters_.dataRpcs;
   counters_.readRpcBytes += bytes;
   const std::uint32_t globalOst = osts_.globalIndex(ost);
-  if (traceOn_) {
-    tracer_->instant("rpc", "read",
-                     {{"ost", util::Json(static_cast<std::int64_t>(globalOst))},
-                      {"bytes", util::Json(static_cast<std::int64_t>(bytes))},
-                      {"sim_time", util::Json(engine_.now())}});
-  }
   NodeState& node = nodes_[nodeIdx];
   const std::size_t l = lane(nodeIdx, ost);
   const double latency = cluster_.network.messageLatency;
@@ -840,6 +839,9 @@ void ClientRuntime::issueReadRpc(std::uint32_t nodeIdx, std::uint32_t ost, FileI
       oscFlow_.release(l);
       (*done)();
     }};
+    if (traceOn_) {
+      d.complete = tallied(RpcTally::kRead, bytes, std::move(d.complete));
+    }
     deliverRpc(std::move(d));
   });
 }
@@ -1027,7 +1029,7 @@ void ClientRuntime::noteLockWait(double seconds) {
   lockWaitSeconds_ += seconds;
   ++lockWaits_;
   if (traceOn_) {
-    tracer_->instant("lock", "dlm-wait", {{"seconds", util::Json(seconds)}});
+    rpcTally_.add(RpcTally::kDlmWait, 0, seconds);
   }
 }
 

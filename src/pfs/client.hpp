@@ -47,6 +47,7 @@
 #include "pfs/ost.hpp"
 #include "pfs/params.hpp"
 #include "pfs/readahead.hpp"
+#include "pfs/rpc_tally.hpp"
 #include "pfs/topology.hpp"
 #include "sim/callback.hpp"
 #include "sim/engine.hpp"
@@ -206,12 +207,13 @@ struct RunScope {
 
 class ClientRuntime {
  public:
-  /// `tracer` (nullable, non-owning) receives per-RPC and lock-wait
-  /// events while enabled; aggregate metrics flow through
-  /// flushObservability at end of run. `faults` (nullable, non-owning)
-  /// is the armed fault injector for this run: when attached, every RPC
-  /// delivery consults it for loss/stall state and lost deliveries retry
-  /// with exponential backoff under the NetworkSpec retry budget.
+  /// While `tracer` (nullable, non-owning) is enabled the runtime fills
+  /// rpcTally() and records RPC retry/give-up instants; aggregate metrics
+  /// flow through flushObservability at end of run. `faults` (nullable,
+  /// non-owning) is the armed fault injector for this run: when attached,
+  /// every RPC delivery consults it for loss/stall state and lost
+  /// deliveries retry with exponential backoff under the NetworkSpec retry
+  /// budget.
   ClientRuntime(sim::SimEngine& engine, const ClusterSpec& cluster,
                 const PfsConfig& config, const JobSpec& job,
                 obs::Tracer* tracer = nullptr,
@@ -250,6 +252,12 @@ class ClientRuntime {
   /// (positioning/seek time vs media transfer time, RPCs, peak queue
   /// depth). Called by PfsSimulator::run after the event queue drains.
   void flushObservability(obs::CounterRegistry& registry) const;
+
+  /// Per-op-kind counts, bytes and simulated-latency histograms of this
+  /// run's RPCs and DLM lock waits; empty unless the tracer was enabled at
+  /// construction. An RPC's latency runs from taking its in-flight slot
+  /// (osc/mdc max_rpcs_in_flight) to completion, retries included.
+  [[nodiscard]] const RpcTally& rpcTally() const noexcept { return rpcTally_; }
 
   /// Collects the end-of-run audit snapshot (see RunAudit). Call after the
   /// event queue drains; earlier snapshots see in-flight state.
@@ -366,6 +374,10 @@ class ClientRuntime {
   /// rpcMaxRetries the run fails but `complete` still runs so the
   /// simulation drains instead of deadlocking.
   void deliverRpc(RpcDelivery d);
+  /// Traced runs only: wraps an RPC completion so it records `kind` into
+  /// rpcTally_ with the simulated time since this call.
+  [[nodiscard]] sim::Callback tallied(std::size_t kind, std::uint64_t bytes,
+                                      sim::Callback complete);
   void failRun(std::string reason);
 
   // data plumbing
@@ -400,6 +412,7 @@ class ClientRuntime {
   /// plain bool (same cost as the detached null check) instead of paying
   /// an atomic load 50k+ times per run.
   bool traceOn_ = false;
+  RpcTally rpcTally_;
   RunScope scope_;
   std::uint32_t totalOsts_ = 0;
 

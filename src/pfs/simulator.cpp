@@ -155,6 +155,9 @@ RunResult PfsSimulator::runSingle(const JobSpec& job, const PfsConfig& config,
       if (options_.counters != nullptr) {
         runtime.flushObservability(*options_.counters);
       }
+      if (runSpan.active()) {
+        runSpan.arg("rpc", runtime.rpcTally().toJson());
+      }
       return result;
     }
     throw std::logic_error("simulation deadlock: event queue drained with ranks blocked (job '" +
@@ -199,6 +202,7 @@ RunResult PfsSimulator::runSingle(const JobSpec& job, const PfsConfig& config,
     runSpan.arg("data_rpcs", util::Json(static_cast<std::int64_t>(result.counters.dataRpcs)));
     runSpan.arg("meta_rpcs", util::Json(static_cast<std::int64_t>(result.counters.metaRpcs)));
     runSpan.arg("events", util::Json(static_cast<std::int64_t>(result.counters.events)));
+    runSpan.arg("rpc", runtime.rpcTally().toJson());
   }
   return result;
 }
@@ -339,6 +343,17 @@ RunResult PfsSimulator::runFederated(const JobSpec& job, const PfsConfig& config
     }
   };
 
+  const auto attachRpcTally = [&] {
+    if (!runSpan.active()) {
+      return;
+    }
+    RpcTally total;
+    for (const CellRun& run : runs) {
+      total += run.runtime->rpcTally();
+    }
+    runSpan.arg("rpc", total.toJson());
+  };
+
   RunResult result;
   bool allDone = true;
   for (const CellRun& run : runs) {
@@ -364,6 +379,7 @@ RunResult PfsSimulator::runFederated(const JobSpec& job, const PfsConfig& config
           run.runtime->flushObservability(*options_.counters);
         }
       }
+      attachRpcTally();
       return result;
     }
     throw std::logic_error(
@@ -426,6 +442,7 @@ RunResult PfsSimulator::runFederated(const JobSpec& job, const PfsConfig& config
     runSpan.arg("shards", util::Json(static_cast<std::int64_t>(shardCount)));
     runSpan.arg("events", util::Json(static_cast<std::int64_t>(result.counters.events)));
   }
+  attachRpcTally();
   return result;
 }
 

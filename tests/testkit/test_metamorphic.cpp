@@ -1,11 +1,14 @@
 // Metamorphic laws over the simulator: exact determinism, fault-plan
-// attachment neutrality, scale monotonicity, and concurrency-relaxation
-// monotonicity. All seeds here are fixed — the laws must hold on every
-// seed, so any failure is a real defect, not flake.
+// attachment neutrality, tracing neutrality, scale monotonicity, and
+// concurrency-relaxation monotonicity. All seeds here are fixed — the laws
+// must hold on every seed, so any failure is a real defect, not flake.
 #include <gtest/gtest.h>
 
+#include "faults/fault_plan.hpp"
+#include "obs/trace.hpp"
 #include "testkit/metamorphic.hpp"
 #include "testkit/run.hpp"
+#include "workloads/workloads.hpp"
 
 namespace stellar::testkit {
 namespace {
@@ -47,6 +50,90 @@ TEST(Metamorphic, CellifiedCaseIsBitIdenticalAcrossBackendsAndShards) {
     EXPECT_FALSE(difference.has_value())
         << sim::schedulerKindName(options.scheduler) << "/" << options.shards
         << " shards: " << *difference;
+  }
+}
+
+/// Bit-identity over what describeDifference leaves out: per-file stats.
+std::optional<std::string> describeFileDifference(const pfs::RunResult& a,
+                                                  const pfs::RunResult& b) {
+  if (a.files.size() != b.files.size()) return "results differ in file count";
+  for (std::size_t i = 0; i < a.files.size(); ++i) {
+    const pfs::FileStats& fa = a.files[i];
+    const pfs::FileStats& fb = b.files[i];
+    if (fa.bytesRead != fb.bytesRead || fa.bytesWritten != fb.bytesWritten ||
+        fa.readOps != fb.readOps || fa.writeOps != fb.writeOps || fa.opens != fb.opens ||
+        fa.stats != fb.stats || fa.readTime != fb.readTime ||
+        fa.writeTime != fb.writeTime || fa.metaTime != fb.metaTime ||
+        fa.accessCount != fb.accessCount) {
+      return "results differ in file " + std::to_string(i) + " stats";
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(Metamorphic, TracingIsObservationOnly) {
+  // ML-TRACE: tracing observes a run and never steers it. The same run
+  // with no tracer, a disabled tracer and an enabled one is bit-identical,
+  // so the traced-only RPC completion wrappers and tallies cannot feed
+  // back into event order or timing. Covers a data and a metadata
+  // workload, with and without RPC loss, and a federated cluster.
+  workloads::WorkloadOptions opts;
+  opts.ranks = 20;  // two client nodes: IOR reads cross nodes as RPCs
+  opts.scale = 0.02;
+  pfs::PfsConfig smallLockLru;  // re-stats/re-opens wait on the DLM
+  smallLockLru.ldlm_lru_size = 16;
+  struct Case {
+    std::string label;
+    pfs::ClusterSpec cluster;
+    pfs::JobSpec job;
+    pfs::PfsConfig config;
+    std::uint64_t seed;
+  };
+  std::vector<Case> cases = {
+      {"IOR_64K", pfs::defaultCluster(), workloads::byName("IOR_64K", opts), {}, 7},
+      {"MDWorkbench_8K", pfs::defaultCluster(), workloads::byName("MDWorkbench_8K", opts),
+       smallLockLru, 7},
+  };
+  const GeneratedCase celled = cellify(materialize(generateShape(0xCE11)), 4);
+  cases.push_back({"cellified x4", celled.cluster, celled.job, celled.shape.config,
+                   celled.shape.seed});
+  const faults::FaultPlan flaky = faults::scenarioByName("flaky-network");
+
+  for (const Case& c : cases) {
+    for (const faults::FaultPlan* plan : {static_cast<const faults::FaultPlan*>(nullptr),
+                                          &flaky}) {
+      SCOPED_TRACE(c.label + (plan != nullptr ? " + flaky-network" : ""));
+      const auto runWith = [&](obs::Tracer* tracer) {
+        const pfs::PfsSimulator sim{{.cluster = c.cluster,
+                                     .tracer = tracer,
+                                     .faults = plan,
+                                     .engine = {.shards = 2}}};
+        return sim.run(c.job, c.config, c.seed);
+      };
+      obs::Tracer disabled{{.enabled = false}};
+      obs::Tracer enabled{{.capacity = 1 << 12}};
+      const pfs::RunResult reference = runWith(nullptr);
+      for (obs::Tracer* tracer : {&disabled, &enabled}) {
+        const char* arm = tracer->enabled() ? "enabled" : "disabled";
+        const pfs::RunResult traced = runWith(tracer);
+        const auto difference = describeDifference(reference, traced);
+        EXPECT_FALSE(difference.has_value()) << arm << " tracer: " << *difference;
+        const auto fileDifference = describeFileDifference(reference, traced);
+        EXPECT_FALSE(fileDifference.has_value()) << arm << " tracer: " << *fileDifference;
+      }
+      EXPECT_EQ(disabled.recorded(), 0u);
+      // The enabled arm really traced: its run span carries the tally.
+      bool tallied = false;
+      enabled.forEach([&](const obs::TraceRecord& record) {
+        if (record.name.rfind("pfs.run:", 0) != 0) {
+          return;
+        }
+        for (const obs::TraceArg& arg : record.args) {
+          tallied = tallied || arg.key == "rpc";
+        }
+      });
+      EXPECT_TRUE(tallied);
+    }
   }
 }
 
