@@ -84,11 +84,9 @@ struct SimulatorOptions {
   /// must outlive the simulator). Null or empty = fault-free: runs are
   /// bit-identical to a simulator without the faults layer.
   const faults::FaultPlan* faults = nullptr;
-  /// Event-engine construction knobs: scheduler backend, arena sizing, and
-  /// shard fan-out for federated clusters (cluster.cells > 1). The `seed`
-  /// field is ignored — each run seeds its engines from the run seed.
-  /// Results are bit-identical across scheduler backends and shard counts;
-  /// only wall-clock performance changes.
+  /// Event-engine construction knobs: arena sizing and shard fan-out for
+  /// federated clusters (cluster.cells > 1). Results are bit-identical
+  /// across shard counts; only wall-clock performance changes.
   sim::EngineOptions engine{};
 };
 
@@ -107,10 +105,14 @@ class PfsSimulator {
   /// Bounds context for validating configs against this cluster.
   [[nodiscard]] BoundsContext boundsContext() const noexcept;
 
-  /// Simulates one complete run. Throws std::invalid_argument when the
-  /// config is out of range (the same failure the paper reports when the
-  /// agent proposes invalid values) or the job is malformed. Fault-induced
-  /// failures do NOT throw: they come back as outcome != Ok.
+  /// Simulates one complete run: the job is split into the cluster's
+  /// shared-nothing cells (one cell hosts the whole job) and driven on a
+  /// sim::ShardedEngine. Bit-identical for any shard count because cells
+  /// never interact and all randomness is keyed by global component ids.
+  /// Throws std::invalid_argument when the config is out of range (the
+  /// same failure the paper reports when the agent proposes invalid
+  /// values) or the job is malformed. Fault-induced failures do NOT throw:
+  /// they come back as outcome != Ok.
   [[nodiscard]] RunResult run(const JobSpec& job, const PfsConfig& config,
                               std::uint64_t seed) const {
     return run(job, config, seed, RunLimits{});
@@ -121,15 +123,6 @@ class PfsSimulator {
                               std::uint64_t seed, const RunLimits& limits) const;
 
  private:
-  [[nodiscard]] RunResult runSingle(const JobSpec& job, const PfsConfig& config,
-                                    std::uint64_t seed, const RunLimits& limits) const;
-  /// cluster.cells > 1: partitions the job into shared-nothing cells and
-  /// drives them on a sim::ShardedEngine. Bit-identical for any shard
-  /// count because cells never interact and all randomness is keyed by
-  /// global component ids.
-  [[nodiscard]] RunResult runFederated(const JobSpec& job, const PfsConfig& config,
-                                       std::uint64_t seed, const RunLimits& limits) const;
-
   SimulatorOptions options_;
 };
 

@@ -12,13 +12,13 @@
 // The tag (vtable pointer + storage discriminator) replaces std::function's
 // manager machinery; dispatch is one indirect call either way, but
 // construction and destruction stop touching the global allocator on the
-// hot path.
+// hot path. Callback is the engine's only event type: scheduleAt/After
+// take a Callback or any callable, which they wrap in one.
 #pragma once
 
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -83,14 +83,10 @@ class EventArena {
 class Callback;
 
 /// Callables the scheduling templates accept: anything invocable with no
-/// arguments except Callback itself (which has dedicated overloads) and
-/// std::function<void()> (which must route to the deprecated overloads so
-/// legacy call sites get their compile-time nudge).
+/// arguments except Callback itself (which has dedicated overloads).
 template <typename F>
-concept EventCallable =
-    std::invocable<std::remove_cvref_t<F>&> &&
-    !std::same_as<std::remove_cvref_t<F>, Callback> &&
-    !std::same_as<std::remove_cvref_t<F>, std::function<void()>>;
+concept EventCallable = std::invocable<std::remove_cvref_t<F>&> &&
+                        !std::same_as<std::remove_cvref_t<F>, Callback>;
 
 /// Move-only type-erased void() callable with small-buffer + arena storage.
 class Callback {

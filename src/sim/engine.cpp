@@ -4,51 +4,13 @@
 
 namespace stellar::sim {
 
-const char* schedulerKindName(SchedulerKind kind) noexcept {
-  switch (kind) {
-    case SchedulerKind::Heap:
-      return "heap";
-    case SchedulerKind::Calendar:
-      return "calendar";
-  }
-  return "unknown";
-}
-
-SimEngine::SimEngine(EngineOptions options)
-    : options_(options), arena_(options.arenaBytes), rng_(options.seed) {}
+SimEngine::SimEngine(EngineOptions options) : arena_(options.arenaBytes) {}
 
 void SimEngine::pushEvent(SimTime at, Callback cb) {
   if (at < now_) {
     at = now_;
   }
-  Event event{at, nextSeq_++, std::move(cb)};
-  if (options_.scheduler == SchedulerKind::Heap) {
-    heap_.push(std::move(event));
-  } else {
-    calendar_.push(std::move(event));
-  }
-}
-
-const Event* SimEngine::peekEvent() {
-  if (options_.scheduler == SchedulerKind::Heap) {
-    return heap_.empty() ? nullptr : &heap_.top();
-  }
-  return calendar_.peek();
-}
-
-Event SimEngine::popEvent() {
-  if (options_.scheduler == SchedulerKind::Heap) {
-    return heap_.pop();
-  }
-  return calendar_.pop();
-}
-
-bool SimEngine::empty() const noexcept {
-  return heap_.empty() && calendar_.empty();
-}
-
-std::size_t SimEngine::queueDepth() const noexcept {
-  return heap_.size() + calendar_.size();
+  queue_.push(Event{at, nextSeq_++, std::move(cb)});
 }
 
 void SimEngine::scheduleAt(SimTime at, Callback cb) {
@@ -60,25 +22,6 @@ void SimEngine::scheduleAfter(SimTime delay, Callback cb) {
     delay = 0.0;
   }
   pushEvent(now_ + delay, std::move(cb));
-}
-
-void SimEngine::scheduleAt(SimTime at, std::function<void()> fn) {
-  pushEvent(at, Callback{arena_, [fn = std::move(fn)] {
-              if (fn) {
-                fn();
-              }
-            }});
-}
-
-void SimEngine::scheduleAfter(SimTime delay, std::function<void()> fn) {
-  if (delay < 0.0) {
-    delay = 0.0;
-  }
-  pushEvent(now_ + delay, Callback{arena_, [fn = std::move(fn)] {
-              if (fn) {
-                fn();
-              }
-            }});
 }
 
 void SimEngine::scheduleWindow(SimTime begin, SimTime end, Callback onOpen,
@@ -118,22 +61,14 @@ void SimEngine::cancelOpenWindows() {
   }
 }
 
-std::optional<SimTime> SimEngine::nextEventTime() {
-  const Event* next = peekEvent();
-  if (next == nullptr) {
-    return std::nullopt;
-  }
-  return next->at;
-}
-
 void SimEngine::noteDispatch() {
   // Sampled dispatch telemetry: a full span per event would swamp the
-  // ring (runs dispatch millions), so every sampleEvery_-th dispatch
+  // ring (runs dispatch millions), so every kSampleEvery-th dispatch
   // emits one instant carrying queue depth and simulated clock.
   if (sampleTick_ == 0 || --sampleTick_ != 0) {
     return;
   }
-  sampleTick_ = sampleEvery_;
+  sampleTick_ = kSampleEvery;
   if (obs::tracing(tracer_)) {
     tracer_->instant("sim", "dispatch",
                      {{"events", util::Json(static_cast<std::int64_t>(processed_))},
@@ -153,17 +88,21 @@ void SimEngine::finishDrain(obs::Tracer::Span& span, std::uint64_t dispatched) {
   }
 }
 
+void SimEngine::dispatchNext() {
+  Event event = queue_.pop();
+  now_ = event.at;
+  ++processed_;
+  noteDispatch();
+  if (event.cb) {
+    event.cb();
+  }
+}
+
 SimTime SimEngine::run() {
   obs::Tracer::Span span = obs::beginSpan(tracer_, "sim", "event-loop");
   const std::uint64_t before = processed_;
-  while (!empty()) {
-    Event event = popEvent();
-    now_ = event.at;
-    ++processed_;
-    noteDispatch();
-    if (event.cb) {
-      event.cb();
-    }
+  while (!queue_.empty()) {
+    dispatchNext();
   }
   finishDrain(span, processed_ - before);
   return now_;
@@ -172,44 +111,13 @@ SimTime SimEngine::run() {
 SimTime SimEngine::runUntil(SimTime limit) {
   obs::Tracer::Span span = obs::beginSpan(tracer_, "sim", "event-loop-until");
   const std::uint64_t before = processed_;
-  while (true) {
-    const Event* next = peekEvent();
-    if (next == nullptr || next->at > limit) {
-      break;
-    }
-    Event event = popEvent();
-    now_ = event.at;
-    ++processed_;
-    noteDispatch();
-    if (event.cb) {
-      event.cb();
-    }
+  while (!queue_.empty() && queue_.top().at <= limit) {
+    dispatchNext();
   }
-  if (now_ < limit && empty()) {
+  if (now_ < limit && queue_.empty()) {
     now_ = limit;
   }
   finishDrain(span, processed_ - before);
-  return now_;
-}
-
-SimTime SimEngine::drainUntil(SimTime limit) {
-  const std::uint64_t before = processed_;
-  while (true) {
-    const Event* next = peekEvent();
-    if (next == nullptr || next->at > limit) {
-      break;
-    }
-    Event event = popEvent();
-    now_ = event.at;
-    ++processed_;
-    noteDispatch();
-    if (event.cb) {
-      event.cb();
-    }
-  }
-  if (counters_ != nullptr && processed_ != before) {
-    counters_->counter("sim.events_dispatched").add(static_cast<double>(processed_ - before));
-  }
   return now_;
 }
 

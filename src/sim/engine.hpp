@@ -1,12 +1,13 @@
 // Discrete-event simulation engine.
 //
-// Single-threaded and fully deterministic: events firing at equal
-// timestamps are ordered by insertion sequence, so a given (workload,
-// config, seed) triple always produces the identical event trace — with
-// either scheduler backend, since both implement the same strict
-// (timestamp, seq) dispatch order. The PFS model in src/pfs builds
-// client/server state machines on top of this; sim::ShardedEngine runs
-// several independent engines side by side for federated clusters.
+// Single-threaded and fully deterministic: one HeapScheduler dispatches in
+// strict (timestamp, insertion seq) order, so events firing at equal
+// timestamps run FIFO and a given (workload, config, seed) triple always
+// produces the identical event trace. The engine draws no random numbers
+// itself; model components key their own streams by component id. The
+// PFS model in src/pfs builds client/server state machines on top of
+// this; sim::ShardedEngine runs several independent engines side by side
+// for federated clusters.
 //
 // Construction goes through sim::EngineOptions — the options struct is the
 // only public constructor, mirroring pfs::SimulatorOptions.
@@ -14,9 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -24,34 +23,19 @@
 #include "obs/trace.hpp"
 #include "sim/callback.hpp"
 #include "sim/scheduler.hpp"
-#include "util/rng.hpp"
 
 namespace stellar::sim {
 
-/// Pending-event scheduler backend. Both implement the identical dispatch
-/// order; Calendar is O(1) amortized and the default, Heap is the simple
-/// reference baseline.
-enum class SchedulerKind : std::uint8_t { Heap, Calendar };
-
-[[nodiscard]] const char* schedulerKindName(SchedulerKind kind) noexcept;
-
 /// The single way to build an engine (and, via ShardedEngine, a shard
 /// fleet). Aggregate-initialize with designated fields:
-///   SimEngine engine{{.seed = 42, .scheduler = SchedulerKind::Calendar}};
+///   SimEngine engine{{.arenaBytes = 8 * 1024}};
 struct EngineOptions {
-  /// Seed for the engine's random stream.
-  std::uint64_t seed = 1;
-  SchedulerKind scheduler = SchedulerKind::Calendar;
   /// First arena block size for event closures; the arena doubles from
   /// here on demand.
   std::size_t arenaBytes = 64 * 1024;
   /// Shard fan-out consumed by ShardedEngine (a bare SimEngine is always
   /// one shard).
   std::uint32_t shards = 1;
-  /// Conservative lockstep window (simulated seconds) for ShardedEngine;
-  /// 0 lets shards free-run, which is exact when shards share no state
-  /// (the federated-cell model guarantees that).
-  SimTime syncWindowSeconds = 0.0;
 };
 
 class SimEngine {
@@ -61,7 +45,6 @@ class SimEngine {
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
 
-  [[nodiscard]] const EngineOptions& options() const noexcept { return options_; }
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedules `cb` at absolute time `at` (clamped to now).
@@ -80,14 +63,6 @@ class SimEngine {
   void scheduleAfter(SimTime delay, F&& fn) {
     scheduleAfter(delay, Callback{arena_, std::forward<F>(fn)});
   }
-
-  [[deprecated("pass a sim::Callback (or any callable); the std::function "
-               "overload will be removed next release")]] void
-  scheduleAt(SimTime at, std::function<void()> fn);
-
-  [[deprecated("pass a sim::Callback (or any callable); the std::function "
-               "overload will be removed next release")]] void
-  scheduleAfter(SimTime delay, std::function<void()> fn);
 
   /// Schedules a [begin, end) time window: `onOpen` fires at begin and
   /// `onClose` at end, both dispatched through the ordinary event queue so
@@ -120,35 +95,23 @@ class SimEngine {
   /// early the clock advances to the limit. Returns the final clock.
   SimTime runUntil(SimTime limit);
 
-  /// Like runUntil() but never advances the clock past the last dispatched
-  /// event — the lockstep primitive for ShardedEngine windows, where the
-  /// local clock must not outrun the global horizon.
-  SimTime drainUntil(SimTime limit);
-
-  /// Timestamp of the next pending event, if any.
-  [[nodiscard]] std::optional<SimTime> nextEventTime();
-
-  [[nodiscard]] bool empty() const noexcept;
-  [[nodiscard]] std::size_t queueDepth() const noexcept;
+  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
+  [[nodiscard]] std::size_t queueDepth() const noexcept { return queue_.size(); }
   [[nodiscard]] std::uint64_t eventsProcessed() const noexcept { return processed_; }
-
-  /// Deterministic per-engine random stream. The PFS hot paths use
-  /// per-component streams instead (shard-grouping invariance); this one
-  /// remains for engine-local consumers and tests.
-  [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
 
   /// Arena backing event closures; resets when the engine is destroyed.
   [[nodiscard]] EventArena& arena() noexcept { return arena_; }
 
+  /// Dispatches between two sampled queue-depth instants.
+  static constexpr std::uint64_t kSampleEvery = 4096;
+
   /// Attaches (nullable) observability sinks. The drain loops emit one
   /// "sim" span per run()/runUntil() call plus a sampled queue-depth
-  /// instant every `sampleEvery` dispatches; event totals land in the
+  /// instant every kSampleEvery dispatches; event totals land in the
   /// registry. Costs a null check per event when detached.
-  void attachObservability(obs::Tracer* tracer, obs::CounterRegistry* counters,
-                           std::uint64_t sampleEvery = 4096) noexcept {
+  void attachObservability(obs::Tracer* tracer, obs::CounterRegistry* counters) noexcept {
     tracer_ = tracer;
     counters_ = counters;
-    sampleEvery_ = sampleEvery == 0 ? 1 : sampleEvery;
     // Countdown form: the drain loop pays one decrement+compare per event
     // instead of a modulo. Sampling arms only if the tracer is enabled at
     // attach time — a detached or disabled tracer costs one compare per
@@ -165,27 +128,23 @@ class SimEngine {
   };
 
   void pushEvent(SimTime at, Callback cb);
-  [[nodiscard]] const Event* peekEvent();
-  Event popEvent();
+  /// Pops the next event, advances the clock to it and dispatches it.
+  void dispatchNext();
   void closeWindow(WindowRecord& record);
   void noteDispatch();
   void finishDrain(obs::Tracer::Span& span, std::uint64_t dispatched);
 
-  EngineOptions options_;
   // The arena must outlive every queued Callback: declared before the
-  // schedulers and window records so it is destroyed last.
+  // queue and window records so it is destroyed last.
   EventArena arena_;
-  HeapScheduler heap_;
-  CalendarScheduler calendar_;
+  HeapScheduler queue_;
   std::vector<std::unique_ptr<WindowRecord>> windows_;
   SimTime now_ = 0.0;
   std::uint64_t openWindows_ = 0;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t processed_ = 0;
-  util::Rng rng_;
   obs::Tracer* tracer_ = nullptr;
   obs::CounterRegistry* counters_ = nullptr;
-  std::uint64_t sampleEvery_ = 4096;
   std::uint64_t sampleTick_ = 0;  ///< dispatches until the next sample; 0 = off
 };
 

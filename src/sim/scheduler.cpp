@@ -1,15 +1,10 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 namespace stellar::sim {
 namespace {
-
-constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
-constexpr std::size_t kMinBuckets = 64;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 22;
 
 // Heap comparator: std::push_heap keeps the "largest" element at the front,
 // so "larger" must mean "dispatches later".
@@ -29,134 +24,6 @@ Event HeapScheduler::pop() {
   Event event = std::move(heap_.back());
   heap_.pop_back();
   return event;
-}
-
-bool CalendarScheduler::entryAfter(const Entry& a, const Entry& b) noexcept {
-  return dispatchesBefore(b.event, a.event);
-}
-
-CalendarScheduler::CalendarScheduler(std::size_t initialBuckets, SimTime initialWidth)
-    : buckets_(std::max(initialBuckets, kMinBuckets)),
-      width_(initialWidth > 0.0 ? initialWidth : 1e-4) {}
-
-std::uint64_t CalendarScheduler::dayOf(SimTime at) const noexcept {
-  if (at <= 0.0) {
-    return 0;
-  }
-  const double day = at / width_;
-  // Clamp far-future timestamps; they land on overflow days either way.
-  if (day >= 1e18) {
-    return std::uint64_t{1} << 60;
-  }
-  return static_cast<std::uint64_t>(day);
-}
-
-void CalendarScheduler::push(Event event) {
-  if (cacheValid_ &&
-      dispatchesBefore(event, buckets_[cacheBucket_].front().event)) {
-    cacheValid_ = false;
-  }
-  const std::uint64_t day = dayOf(event.at);
-  std::vector<Entry>& bucket = buckets_[day % buckets_.size()];
-  bucket.push_back(Entry{day, std::move(event)});
-  std::push_heap(bucket.begin(), bucket.end(), entryAfter);
-  ++size_;
-  if (size_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-    rehash(buckets_.size() * 2);
-  }
-}
-
-const Event* CalendarScheduler::peek() {
-  if (!locate()) {
-    return nullptr;
-  }
-  return &buckets_[cacheBucket_].front().event;
-}
-
-Event CalendarScheduler::pop() {
-  locate();
-  std::vector<Entry>& bucket = buckets_[cacheBucket_];
-  std::pop_heap(bucket.begin(), bucket.end(), entryAfter);
-  Event event = std::move(bucket.back().event);
-  bucket.pop_back();
-  --size_;
-  floor_ = event.at;
-  cacheValid_ = false;
-  if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 8) {
-    rehash(buckets_.size() / 2);
-  }
-  return event;
-}
-
-bool CalendarScheduler::locate() {
-  if (size_ == 0) {
-    return false;
-  }
-  if (cacheValid_) {
-    return true;
-  }
-  const std::size_t n = buckets_.size();
-  std::uint64_t day = dayOf(floor_);
-  for (std::size_t step = 0; step < n; ++step, ++day) {
-    const std::vector<Entry>& bucket = buckets_[day % n];
-    // Every live entry has day >= dayOf(floor_), and days congruent mod n
-    // are a full rotation apart, so the bucket front is due exactly when
-    // its day matches the probe day — an O(1) check per day.
-    if (!bucket.empty() && bucket.front().day == day) {
-      // Every other live entry has day >= this one, hence at >= day * width,
-      // so the (at, seq)-minimum of this day window is the global minimum.
-      cacheBucket_ = day % n;
-      cacheValid_ = true;
-      return true;
-    }
-  }
-  // Overflow day: nothing due within a full rotation. Compare the bucket
-  // fronts (each bucket's dispatch-order minimum) for the global minimum.
-  ++overflowScans_;
-  std::size_t bestBucket = kNpos;
-  for (std::size_t b = 0; b < n; ++b) {
-    const std::vector<Entry>& bucket = buckets_[b];
-    if (bucket.empty()) {
-      continue;
-    }
-    if (bestBucket == kNpos ||
-        dispatchesBefore(bucket.front().event,
-                         buckets_[bestBucket].front().event)) {
-      bestBucket = b;
-    }
-  }
-  cacheBucket_ = bestBucket;
-  cacheValid_ = true;
-  return true;
-}
-
-void CalendarScheduler::rehash(std::size_t newBucketCount) {
-  std::vector<Entry> entries;
-  entries.reserve(size_);
-  SimTime minAt = std::numeric_limits<SimTime>::max();
-  SimTime maxAt = std::numeric_limits<SimTime>::lowest();
-  for (std::vector<Entry>& bucket : buckets_) {
-    for (Entry& entry : bucket) {
-      minAt = std::min(minAt, entry.event.at);
-      maxAt = std::max(maxAt, entry.event.at);
-      entries.push_back(std::move(entry));
-    }
-    bucket.clear();
-  }
-  if (entries.size() >= 2 && maxAt > minAt) {
-    width_ = std::clamp((maxAt - minAt) / static_cast<SimTime>(entries.size()),
-                        1e-9, 1e6);
-  }
-  buckets_.clear();
-  buckets_.resize(newBucketCount);
-  for (Entry& entry : entries) {
-    entry.day = dayOf(entry.event.at);
-    buckets_[entry.day % newBucketCount].push_back(std::move(entry));
-  }
-  for (std::vector<Entry>& bucket : buckets_) {
-    std::make_heap(bucket.begin(), bucket.end(), entryAfter);
-  }
-  cacheValid_ = false;
 }
 
 }  // namespace stellar::sim

@@ -1,28 +1,10 @@
-// Pending-event schedulers for the discrete-event engine.
+// Pending-event scheduler for the discrete-event engine.
 //
-// Both schedulers order events by the strict total order (timestamp,
-// insertion sequence) — same-timestamp events dispatch FIFO. Because the
-// order is identical, a run produces bit-identical results regardless of
-// which scheduler backs the engine; the calendar queue is purely a
-// complexity/locality upgrade for datacenter-scale clusters.
-//
-// HeapScheduler: classic binary heap, O(log n) push/pop. Kept as the
-// reference implementation and the baseline for bench/micro_engine.
-//
-// CalendarScheduler: calendar queue (Brown 1988). Events hash into
-// bucket = day % bucketCount with day = floor(at / width); pop scans
-// forward from the current day, picking the (at, seq)-minimum entry among
-// those due in the first non-empty day window. Each bucket is kept as a
-// binary min-heap in dispatch order — day is a monotone function of the
-// timestamp, so the heap front is also the bucket's earliest-day entry.
-// That makes the due-day probe O(1) per day and pop O(log bucket), which
-// keeps clustered timestamps (thousands of federation cells doing the
-// same thing at the same sim time) from degrading pops to linear scans.
-// Amortized O(1) push/pop while the bucket width tracks the mean event
-// spacing; the table resizes (and re-derives width from the live min/max
-// span) as occupancy drifts. Days with no due event within a full
-// rotation fall back to comparing every bucket's front — correct on
-// sparse "overflow days", just slower.
+// HeapScheduler orders events by the strict total order (timestamp,
+// insertion sequence) — same-timestamp events dispatch FIFO — on a binary
+// heap with O(log n) push/pop. That order is the engine's determinism
+// contract: a run replays bit-identically because nothing else decides
+// which event fires next.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +24,7 @@ struct Event {
 };
 
 /// Strict dispatch order: earlier timestamp first, insertion order breaking
-/// ties. This is the determinism contract both schedulers implement.
+/// ties.
 [[nodiscard]] inline bool dispatchesBefore(const Event& a, const Event& b) noexcept {
   if (a.at != b.at) {
     return a.at < b.at;
@@ -61,55 +43,6 @@ class HeapScheduler {
 
  private:
   std::vector<Event> heap_;
-};
-
-class CalendarScheduler {
- public:
-  explicit CalendarScheduler(std::size_t initialBuckets = 64,
-                             SimTime initialWidth = 1e-4);
-
-  void push(Event event);
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  /// Next event in dispatch order, or nullptr when empty. Non-const: the
-  /// located position is cached until the next push/pop invalidates it.
-  [[nodiscard]] const Event* peek();
-  Event pop();
-
-  [[nodiscard]] std::size_t bucketCount() const noexcept { return buckets_.size(); }
-  [[nodiscard]] SimTime bucketWidth() const noexcept { return width_; }
-  /// Pops that required the full-table fallback scan (telemetry).
-  [[nodiscard]] std::uint64_t overflowScans() const noexcept { return overflowScans_; }
-
- private:
-  struct Entry {
-    std::uint64_t day = 0;
-    Event event;
-  };
-
-  /// Bucket-heap comparator ("dispatches later" = heap-larger). Day is
-  /// monotone in the timestamp, so ordering by (at, seq) alone also orders
-  /// by (day, at, seq): the heap front is both the dispatch-order minimum
-  /// and the earliest-day entry of its bucket.
-  [[nodiscard]] static bool entryAfter(const Entry& a, const Entry& b) noexcept;
-
-  [[nodiscard]] std::uint64_t dayOf(SimTime at) const noexcept;
-  /// Finds the dispatch-order minimum (always its bucket's heap front) and
-  /// caches the bucket index. Returns false when the queue is empty.
-  bool locate();
-  void rehash(std::size_t newBucketCount);
-
-  /// Each bucket is a dispatch-order min-heap (std::push_heap/pop_heap).
-  std::vector<std::vector<Entry>> buckets_;
-  std::size_t size_ = 0;
-  SimTime width_;
-  /// Timestamp of the last popped event: the monotone lower bound for every
-  /// live entry (the engine never schedules into the past). The forward
-  /// scan starts at its day.
-  SimTime floor_ = 0.0;
-  std::uint64_t overflowScans_ = 0;
-  bool cacheValid_ = false;
-  std::size_t cacheBucket_ = 0;
 };
 
 }  // namespace stellar::sim

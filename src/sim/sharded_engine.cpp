@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <thread>
 
-#include "util/rng.hpp"
-
 namespace stellar::sim {
 
-ShardedEngine::ShardedEngine(EngineOptions options) : options_(options) {
+ShardedEngine::ShardedEngine(EngineOptions options) {
   const std::uint32_t count = std::max<std::uint32_t>(options.shards, 1);
   shards_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    EngineOptions shardOptions = options;
-    shardOptions.shards = 1;
-    shardOptions.seed = util::mix64(options.seed, i);
-    shards_.push_back(std::make_unique<SimEngine>(shardOptions));
+    shards_.push_back(std::make_unique<SimEngine>(options));
   }
   // Worker threads are capped at the core count: shard count is a
   // partitioning choice (one shard per federation cell maximizes cache
@@ -38,48 +33,13 @@ void ShardedEngine::forEachParallel(const std::function<void(std::size_t)>& fn) 
   pool_->parallelFor(shards_.size(), fn);
 }
 
-SimTime ShardedEngine::run() { return drive(std::nullopt); }
+SimTime ShardedEngine::run() {
+  forEachParallel([&](std::size_t i) { shards_[i]->run(); });
+  return now();
+}
 
-SimTime ShardedEngine::runUntil(SimTime limit) { return drive(limit); }
-
-SimTime ShardedEngine::drive(std::optional<SimTime> limit) {
-  if (options_.syncWindowSeconds > 0.0) {
-    // Conservative lockstep: advance all shards window by window, where
-    // each window starts at the globally minimal pending timestamp. Every
-    // iteration dispatches at least the event defining that minimum, so
-    // the loop terminates.
-    while (true) {
-      std::optional<SimTime> next;
-      for (const std::unique_ptr<SimEngine>& shard : shards_) {
-        const std::optional<SimTime> t = shard->nextEventTime();
-        if (t.has_value() && (!next.has_value() || *t < *next)) {
-          next = t;
-        }
-      }
-      if (!next.has_value() || (limit.has_value() && *next > *limit)) {
-        break;
-      }
-      SimTime horizon = *next + options_.syncWindowSeconds;
-      if (limit.has_value()) {
-        horizon = std::min(horizon, *limit);
-      }
-      forEachParallel([&](std::size_t i) { shards_[i]->drainUntil(horizon); });
-    }
-    if (limit.has_value()) {
-      // Match SimEngine::runUntil clock semantics on drained shards.
-      for (const std::unique_ptr<SimEngine>& shard : shards_) {
-        shard->runUntil(*limit);
-      }
-    }
-    return now();
-  }
-  forEachParallel([&](std::size_t i) {
-    if (limit.has_value()) {
-      shards_[i]->runUntil(*limit);
-    } else {
-      shards_[i]->run();
-    }
-  });
+SimTime ShardedEngine::runUntil(SimTime limit) {
+  forEachParallel([&](std::size_t i) { shards_[i]->runUntil(limit); });
   return now();
 }
 
@@ -119,10 +79,9 @@ void ShardedEngine::cancelOpenWindows() {
 }
 
 void ShardedEngine::attachObservability(obs::Tracer* tracer,
-                                        obs::CounterRegistry* counters,
-                                        std::uint64_t sampleEvery) noexcept {
+                                        obs::CounterRegistry* counters) noexcept {
   for (const std::unique_ptr<SimEngine>& shard : shards_) {
-    shard->attachObservability(tracer, counters, sampleEvery);
+    shard->attachObservability(tracer, counters);
   }
 }
 

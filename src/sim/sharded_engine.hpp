@@ -10,22 +10,14 @@
 // sequence is independent of the grouping, so results are bit-identical
 // for 1, 2, or 4 shards (the testkit ML-SHARD law enforces this).
 //
-// Two drive modes:
-//  * free-run (syncWindowSeconds == 0): each shard drains to completion in
-//    parallel — exact for shared-nothing shards;
-//  * conservative lockstep (syncWindowSeconds > 0): shards advance in
-//    global windows [T, T + window), where T is the minimum pending
-//    timestamp across shards. No shard's clock outruns the horizon, so a
-//    model with cross-shard interactions of latency >= window would also
-//    stay exact. The PFS model does not need this today; the mode exists
-//    for engine-level experiments and keeps the determinism argument
-//    testable.
+// Shards free-run: each drains to completion (or to a runUntil limit) in
+// parallel, with no cross-shard synchronization.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -59,14 +51,11 @@ class ShardedEngine {
   void cancelOpenWindows();
 
   /// Attaches shared sinks to every shard (both are thread-safe).
-  void attachObservability(obs::Tracer* tracer, obs::CounterRegistry* counters,
-                           std::uint64_t sampleEvery = 4096) noexcept;
+  void attachObservability(obs::Tracer* tracer, obs::CounterRegistry* counters) noexcept;
 
  private:
-  SimTime drive(std::optional<SimTime> limit);
   void forEachParallel(const std::function<void(std::size_t)>& fn);
 
-  EngineOptions options_;
   std::vector<std::unique_ptr<SimEngine>> shards_;
   std::unique_ptr<util::ThreadPool> pool_;
 };

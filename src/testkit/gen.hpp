@@ -86,8 +86,8 @@ struct GenOptions {
 /// cell-local files. Cells whose rank slots outnumber the base job's ranks
 /// pad by repeating base programs (padded rank i runs base rank i % R), so
 /// every cell is identical and the partition into cells is exact. The
-/// result drives pfs::PfsSimulator's federated path; its results are
-/// bit-identical for any scheduler backend or shard count.
+/// result runs as many cells in pfs::PfsSimulator; its results are
+/// bit-identical for any shard count.
 [[nodiscard]] GeneratedCase cellify(const GeneratedCase& base, std::uint32_t cells);
 
 /// Greedy shrinking: repeatedly tries simplifying steps (halve sizes, drop

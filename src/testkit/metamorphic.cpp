@@ -35,19 +35,6 @@ std::vector<Violation> checkMetamorphic(const CaseShape& shape,
     }
   }
 
-  // ML-SCHED: the scheduler backend is a pure performance choice. Heap and
-  // calendar queue must pop the exact same (timestamp, insertion-seq) order,
-  // so whole-run results are bit-identical down to the RunAudit.
-  if (plan.schedulers) {
-    const pfs::RunResult heap =
-        runCase(base, sim::EngineOptions{.scheduler = sim::SchedulerKind::Heap});
-    const pfs::RunResult calendar =
-        runCase(base, sim::EngineOptions{.scheduler = sim::SchedulerKind::Calendar});
-    if (const auto diff = describeDifference(heap, calendar)) {
-      v.push_back(Violation{"ML-SCHED", "heap vs calendar diverged: " + *diff});
-    }
-  }
-
   // ML-SHARD: replicate the case into 4 shared-nothing federation cells
   // and run on 1 / 2 / 4 engine shards. Randomness is keyed by global
   // component ids, so the shard grouping cannot change any number. Bounded
@@ -105,8 +92,8 @@ std::vector<Violation> checkMetamorphic(const CaseShape& shape,
   // ML-RELAX: osc.max_rpcs_in_flight is pure capacity. On a single-rank,
   // private-file, sequential, fault-free workload there is nothing to
   // contend with, so relaxing it cannot meaningfully worsen wall time.
-  // Epsilon absorbs service-jitter resampling: the two runs consume the
-  // engine's random stream in different orders.
+  // Epsilon absorbs service-jitter resampling: the two runs draw the
+  // servers' jitter streams in different orders.
   if (plan.relax && shape.ranks == 1 && !shape.sharedFile && !shape.randomOffsets &&
       shape.faults.empty()) {
     CaseShape tight = shape;

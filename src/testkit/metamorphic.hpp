@@ -5,7 +5,6 @@
 // survives when no closed-form oracle exists:
 //
 //   ML-DET       same (job, config, seed, plan) ⇒ bit-identical results
-//   ML-SCHED     heap and calendar schedulers ⇒ bit-identical results
 //   ML-SHARD     a cellified case is bit-identical for 1 / 2 / 4 engine
 //                shards (shared-nothing cells + globally keyed randomness)
 //   ML-FAULTFREE an *empty* fault plan ⇒ bit-identical to no plan at all
@@ -26,7 +25,6 @@ namespace stellar::testkit {
 /// shape; ML-SCALE needs headroom to double the ranks).
 struct MetamorphicPlan {
   bool determinism = true;
-  bool schedulers = true;
   bool shards = true;
   bool faultFree = true;
   bool scale = true;

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <unistd.h>
 
 #include "core/engine.hpp"
 #include "core/session_journal.hpp"
@@ -42,7 +43,8 @@ TuningRunResult tuneUnderScenario(const std::string& scenario,
 }
 
 std::string journalPath(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "chaos_" + name + ".jsonl";
+  const std::string path = ::testing::TempDir() + "chaos_" + name + "_" +
+                           std::to_string(::getpid()) + ".jsonl";
   (void)std::remove(path.c_str());
   return path;
 }

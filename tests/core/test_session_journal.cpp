@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <unistd.h>
 
 #include "agents/transcript.hpp"
 #include "core/session_journal.hpp"
@@ -14,7 +15,8 @@ namespace stellar::core {
 namespace {
 
 std::string journalPath(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "session_" + name + ".jsonl";
+  const std::string path = ::testing::TempDir() + "session_" + name + "_" +
+                           std::to_string(::getpid()) + ".jsonl";
   (void)std::remove(path.c_str());
   return path;
 }

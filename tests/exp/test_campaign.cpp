@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <string>
+#include <unistd.h>
 
 #include "util/file.hpp"
 #include "util/json.hpp"
@@ -23,7 +24,9 @@ CampaignSpec smallSpec() {
 }
 
 fs::path freshDir(const std::string& name) {
-  const fs::path dir = fs::path{::testing::TempDir()} / ("exp_campaign_" + name);
+  // The pid keeps two test runs on one host out of each other's store.
+  const fs::path dir = fs::path{::testing::TempDir()} /
+                       ("exp_campaign_" + name + "_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

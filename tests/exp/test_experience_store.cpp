@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "util/file.hpp"
@@ -14,7 +15,8 @@ namespace stellar::exp {
 namespace {
 
 std::string tempPath(const std::string& name) {
-  return ::testing::TempDir() + "exp_store_" + name + ".jsonl";
+  return ::testing::TempDir() + "exp_store_" + name + "_" + std::to_string(::getpid()) +
+         ".jsonl";
 }
 
 rules::WorkloadContext contextWithReadShare(double readShare) {

@@ -39,6 +39,8 @@ pfs::PfsConfig smallLockLru() {
 struct TracedRun {
   pfs::RunResult result;
   util::Json rpc;          ///< the pfs.run span's `rpc` arg (null if absent)
+  util::Json dataRpcs;     ///< its `data_rpcs` arg (null if absent)
+  util::Json metaRpcs;     ///< its `meta_rpcs` arg (null if absent)
   double lockWaits = 0.0;  ///< pfs.lock.waits from the run's registry flush
 };
 
@@ -64,6 +66,10 @@ TracedRun runTraced(const pfs::JobSpec& job, std::uint64_t seed,
     for (const obs::TraceArg& arg : record.args) {
       if (arg.key == "rpc") {
         out.rpc = arg.value;
+      } else if (arg.key == "data_rpcs") {
+        out.dataRpcs = arg.value;
+      } else if (arg.key == "meta_rpcs") {
+        out.metaRpcs = arg.value;
       }
     }
   });
@@ -186,7 +192,7 @@ TEST(RpcTally, UntracedRuntimeTalliesNothing) {
   const pfs::JobSpec job = workloads::byName("MDWorkbench_8K", smallOpts());
   obs::Tracer disabled{{.enabled = false}};
   for (obs::Tracer* tracer : {static_cast<obs::Tracer*>(nullptr), &disabled}) {
-    sim::SimEngine engine{sim::EngineOptions{.seed = 1}};
+    sim::SimEngine engine{sim::EngineOptions{}};
     pfs::ClientRuntime runtime{engine, cluster, pfs::PfsConfig{}, job, tracer};
     runtime.start();
     (void)engine.run();
@@ -242,9 +248,17 @@ TEST(RpcTally, FederatedRunIsTheCellOrderSum) {
   const TracedRun federated = runTraced(job, kSeed, federatedCluster(kCells));
   ASSERT_TRUE(federated.result.ok());
   expectMatchesCounters(federated);
+  // The federated span carries the run's RPC totals like a one-cell run's:
+  // equal to the counters, which expectMatchesCounters ties to the `rpc`
+  // sums.
+  const pfs::RunCounters& c = federated.result.counters;
+  ASSERT_TRUE(federated.dataRpcs.isNumber()) << "pfs.run span carries no data_rpcs arg";
+  ASSERT_TRUE(federated.metaRpcs.isNumber()) << "pfs.run span carries no meta_rpcs arg";
+  EXPECT_EQ(federated.dataRpcs.asNumber(), static_cast<double>(c.dataRpcs));
+  EXPECT_EQ(federated.metaRpcs.asNumber(), static_cast<double>(c.metaRpcs));
 
-  // Each cell replayed alone, exactly as runFederated partitions it: its
-  // own one-node sub-cluster, its slice of ranks and files, its global
+  // Each cell replayed alone, exactly as PfsSimulator::run partitions it:
+  // its own one-node sub-cluster, its slice of ranks and files, its global
   // node/OST offsets. Cells are shared-nothing, so a cell's tally does not
   // depend on which engine hosts it.
   pfs::ClusterSpec cellCluster = federatedCluster(kCells);
@@ -267,7 +281,7 @@ TEST(RpcTally, FederatedRunIsTheCellOrderSum) {
       }
       cellJob.ranks.push_back(std::move(program));
     }
-    sim::SimEngine engine{sim::EngineOptions{.seed = kSeed}};
+    sim::SimEngine engine{sim::EngineOptions{}};
     pfs::ClientRuntime runtime{engine, cellCluster, pfs::PfsConfig{}, cellJob, &tracer,
                                nullptr, pfs::RunScope{kSeed, c, c}};
     runtime.start();

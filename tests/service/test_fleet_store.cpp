@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "exp/experience_store.hpp"
@@ -23,7 +24,8 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path freshDir(const std::string& name) {
-  const fs::path dir = fs::path{::testing::TempDir()} / ("fleet_" + name);
+  const fs::path dir = fs::path{::testing::TempDir()} /
+                       ("fleet_" + name + "_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

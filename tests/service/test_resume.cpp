@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "service/service.hpp"
@@ -16,7 +17,8 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path freshDir(const std::string& name) {
-  const fs::path dir = fs::path{::testing::TempDir()} / ("service_" + name);
+  const fs::path dir = fs::path{::testing::TempDir()} /
+                       ("service_" + name + "_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

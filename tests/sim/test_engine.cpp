@@ -1,21 +1,17 @@
-// Discrete-event engine semantics: ordering, determinism, clamping — for
-// both scheduler backends, which must be behaviourally indistinguishable.
+// Discrete-event engine semantics: ordering, determinism, clamping, and
+// window cancellation.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <vector>
 
 #include "sim/engine.hpp"
 
 namespace stellar::sim {
 namespace {
 
-class SimEngineBothSchedulers : public ::testing::TestWithParam<SchedulerKind> {
- protected:
-  [[nodiscard]] SimEngine makeEngine(std::uint64_t seed = 1) const {
-    return SimEngine{EngineOptions{.seed = seed, .scheduler = GetParam()}};
-  }
-};
-
-TEST_P(SimEngineBothSchedulers, RunsEventsInTimeOrder) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, RunsEventsInTimeOrder) {
+  SimEngine engine{EngineOptions{}};
   std::vector<int> order;
   engine.scheduleAt(3.0, [&] { order.push_back(3); });
   engine.scheduleAt(1.0, [&] { order.push_back(1); });
@@ -25,8 +21,8 @@ TEST_P(SimEngineBothSchedulers, RunsEventsInTimeOrder) {
   EXPECT_DOUBLE_EQ(end, 3.0);
 }
 
-TEST_P(SimEngineBothSchedulers, SimultaneousEventsAreFifo) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, SimultaneousEventsAreFifo) {
+  SimEngine engine{EngineOptions{}};
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     engine.scheduleAt(1.0, [&order, i] { order.push_back(i); });
@@ -37,11 +33,11 @@ TEST_P(SimEngineBothSchedulers, SimultaneousEventsAreFifo) {
   }
 }
 
-TEST_P(SimEngineBothSchedulers, EventsCanScheduleMoreEvents) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, EventsCanScheduleMoreEvents) {
+  SimEngine engine{EngineOptions{}};
   int depth = 0;
-  // Self-scheduling closure: own the shared chain via std::function, but
-  // hand the engine a plain lambda so the modern overload is exercised.
+  // Self-scheduling closure: the chain lives in a std::function and each
+  // link hands the engine a plain lambda that calls it.
   std::function<void()> chain = [&] {
     if (++depth < 100) {
       engine.scheduleAfter(0.5, [&] { chain(); });
@@ -53,8 +49,8 @@ TEST_P(SimEngineBothSchedulers, EventsCanScheduleMoreEvents) {
   EXPECT_DOUBLE_EQ(end, 49.5);
 }
 
-TEST_P(SimEngineBothSchedulers, PastTimesClampToNow) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, PastTimesClampToNow) {
+  SimEngine engine{EngineOptions{}};
   double observed = -1.0;
   engine.scheduleAt(5.0, [&] {
     engine.scheduleAt(1.0, [&] { observed = engine.now(); });
@@ -63,16 +59,16 @@ TEST_P(SimEngineBothSchedulers, PastTimesClampToNow) {
   EXPECT_DOUBLE_EQ(observed, 5.0);
 }
 
-TEST_P(SimEngineBothSchedulers, NegativeDelayClampsToZero) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, NegativeDelayClampsToZero) {
+  SimEngine engine{EngineOptions{}};
   double observed = -1.0;
   engine.scheduleAfter(-3.0, [&] { observed = engine.now(); });
   engine.run();
   EXPECT_DOUBLE_EQ(observed, 0.0);
 }
 
-TEST_P(SimEngineBothSchedulers, RunUntilStopsAtLimit) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, RunUntilStopsAtLimit) {
+  SimEngine engine{EngineOptions{}};
   int fired = 0;
   engine.scheduleAt(1.0, [&] { ++fired; });
   engine.scheduleAt(2.0, [&] { ++fired; });
@@ -84,72 +80,13 @@ TEST_P(SimEngineBothSchedulers, RunUntilStopsAtLimit) {
   EXPECT_EQ(fired, 3);
 }
 
-TEST_P(SimEngineBothSchedulers, DrainUntilDoesNotAdvancePastLastEvent) {
-  SimEngine engine = makeEngine();
-  int fired = 0;
-  engine.scheduleAt(1.0, [&] { ++fired; });
-  engine.scheduleAt(10.0, [&] { ++fired; });
-  EXPECT_DOUBLE_EQ(engine.drainUntil(5.0), 1.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(engine.now(), 1.0);
-  // runUntil on an undrained queue leaves the clock at the last event too.
-  EXPECT_DOUBLE_EQ(engine.runUntil(5.0), 1.0);
-  engine.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST_P(SimEngineBothSchedulers, CountsProcessedEvents) {
-  SimEngine engine = makeEngine();
+TEST(SimEngine, CountsProcessedEvents) {
+  SimEngine engine{EngineOptions{}};
   for (int i = 0; i < 7; ++i) {
     engine.scheduleAt(i, [] {});
   }
   engine.run();
   EXPECT_EQ(engine.eventsProcessed(), 7u);
-}
-
-TEST_P(SimEngineBothSchedulers, NextEventTimePeeksWithoutDispatch) {
-  SimEngine engine = makeEngine();
-  EXPECT_FALSE(engine.nextEventTime().has_value());
-  engine.scheduleAt(4.0, [] {});
-  engine.scheduleAt(2.0, [] {});
-  ASSERT_TRUE(engine.nextEventTime().has_value());
-  EXPECT_DOUBLE_EQ(*engine.nextEventTime(), 2.0);
-  EXPECT_EQ(engine.eventsProcessed(), 0u);
-  EXPECT_EQ(engine.queueDepth(), 2u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Schedulers, SimEngineBothSchedulers,
-                         ::testing::Values(SchedulerKind::Heap,
-                                           SchedulerKind::Calendar),
-                         [](const ::testing::TestParamInfo<SchedulerKind>& info) {
-                           return schedulerKindName(info.param);
-                         });
-
-TEST(SimEngine, RngIsSeedDeterministic) {
-  SimEngine a{EngineOptions{.seed = 42}};
-  SimEngine b{EngineOptions{.seed = 42}};
-  SimEngine c{EngineOptions{.seed = 43}};
-  EXPECT_EQ(a.rng().next(), b.rng().next());
-  EXPECT_NE(a.rng().next(), c.rng().next());
-}
-
-TEST(SimEngine, DeprecatedStdFunctionOverloadStillWorks) {
-  // The one-release compatibility shim: std::function callers keep working
-  // (with a deprecation warning) until the overload is removed.
-  SimEngine engine{EngineOptions{}};
-  int fired = 0;
-  std::function<void()> fn = [&] { ++fired; };
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  engine.scheduleAt(1.0, fn);
-  engine.scheduleAfter(2.0, fn);
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  engine.run();
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(SimEngine, CancelOpenWindowsFiresOutstandingCloseHandlers) {

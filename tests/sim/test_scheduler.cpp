@@ -1,11 +1,12 @@
-// Scheduler equivalence and calendar-queue internals.
+// Scheduler dispatch order.
 //
-// The determinism contract says both backends dispatch in strict
-// (timestamp, insertion-seq) order. The property test drives randomized
-// push/pop workloads through both and demands identical pop sequences;
+// The determinism contract says the heap dispatches in strict
+// (timestamp, insertion-seq) order. The property tests drive randomized
+// push/pop workloads through it and demand exactly that pop sequence;
 // failures shrink to a minimal timestamp list before reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <sstream>
@@ -17,10 +18,11 @@
 namespace stellar::sim {
 namespace {
 
+using Order = std::vector<std::pair<SimTime, std::uint64_t>>;
+
 // Pops every event and returns the (at, seq) sequence.
-template <typename Scheduler>
-std::vector<std::pair<SimTime, std::uint64_t>> drain(Scheduler& scheduler) {
-  std::vector<std::pair<SimTime, std::uint64_t>> order;
+Order drain(HeapScheduler& scheduler) {
+  Order order;
   while (!scheduler.empty()) {
     const Event event = scheduler.pop();
     order.emplace_back(event.at, event.seq);
@@ -28,30 +30,19 @@ std::vector<std::pair<SimTime, std::uint64_t>> drain(Scheduler& scheduler) {
   return order;
 }
 
-// Builds both schedulers from the same timestamp list (seq = index) and
-// returns whether their pop order matches AND obeys the strict
-// (at, seq) order. Used directly by the property test and as the failing
-// predicate for the shrinker.
-bool popOrdersAgree(const std::vector<SimTime>& times) {
+// Builds a heap from the timestamp list (seq = index) and returns whether
+// its pop order is the strict (at, seq) order, i.e. the sorted pairs.
+// Used directly by the property test and as the failing predicate for the
+// shrinker.
+bool popsInDispatchOrder(const std::vector<SimTime>& times) {
   HeapScheduler heap;
-  CalendarScheduler calendar;
+  Order expected;
   for (std::size_t i = 0; i < times.size(); ++i) {
     heap.push(Event{times[i], i, {}});
-    calendar.push(Event{times[i], i, {}});
+    expected.emplace_back(times[i], i);
   }
-  const auto heapOrder = drain(heap);
-  const auto calendarOrder = drain(calendar);
-  if (heapOrder != calendarOrder) {
-    return false;
-  }
-  for (std::size_t i = 1; i < heapOrder.size(); ++i) {
-    const auto& [prevAt, prevSeq] = heapOrder[i - 1];
-    const auto& [at, seq] = heapOrder[i];
-    if (at < prevAt || (at == prevAt && prevSeq >= seq)) {
-      return false;
-    }
-  }
-  return true;
+  std::sort(expected.begin(), expected.end());
+  return drain(heap) == expected;
 }
 
 // Greedy delta-debugging shrinker: repeatedly drop elements while the
@@ -84,7 +75,7 @@ std::string formatTimes(const std::vector<SimTime>& times) {
   return out.str();
 }
 
-TEST(SchedulerProperty, SameTimestampFifoMatchesAcrossBackends) {
+TEST(SchedulerProperty, SameTimestampPopsAreFifo) {
   for (std::uint64_t trial = 0; trial < 40; ++trial) {
     util::Rng rng{util::mix64(0xF1F0, trial)};
     // Draw timestamps from a tiny value set so same-timestamp collisions
@@ -95,9 +86,9 @@ TEST(SchedulerProperty, SameTimestampFifoMatchesAcrossBackends) {
     for (std::size_t i = 0; i < count; ++i) {
       times.push_back(0.5 * static_cast<double>(rng.uniformInt(0, 4)));
     }
-    if (!popOrdersAgree(times)) {
+    if (!popsInDispatchOrder(times)) {
       const std::vector<SimTime> minimal = shrinkTimes(
-          times, [](const std::vector<SimTime>& t) { return !popOrdersAgree(t); });
+          times, [](const std::vector<SimTime>& t) { return !popsInDispatchOrder(t); });
       FAIL() << "trial " << trial << ": pop order diverged; minimal failing input "
              << formatTimes(minimal);
     }
@@ -120,63 +111,31 @@ TEST(SchedulerProperty, ShrinkerFindsMinimalCounterexample) {
 }
 
 TEST(SchedulerProperty, InterleavedPushPopAgrees) {
-  // Push/pop interleavings with monotone lower bound (the engine never
-  // schedules into the past): exercises the calendar's floor tracking.
+  // Push/pop interleavings with a monotone lower bound (the engine never
+  // schedules into the past): every pop must be the (at, seq)-minimum of
+  // what is pending, which a sorted reference multiset tracks.
   for (std::uint64_t trial = 0; trial < 20; ++trial) {
     util::Rng rng{util::mix64(0xBEEF, trial)};
     HeapScheduler heap;
-    CalendarScheduler calendar;
+    Order pending;
     std::uint64_t seq = 0;
     SimTime now = 0.0;
-    std::vector<std::pair<SimTime, std::uint64_t>> heapOrder;
-    std::vector<std::pair<SimTime, std::uint64_t>> calendarOrder;
     for (int step = 0; step < 400; ++step) {
       const bool push = heap.empty() || rng.chance(0.6);
       if (push) {
         const SimTime at = now + 0.25 * static_cast<double>(rng.uniformInt(0, 7));
         heap.push(Event{at, seq, {}});
-        calendar.push(Event{at, seq, {}});
+        pending.emplace_back(at, seq);
         ++seq;
       } else {
-        const Event a = heap.pop();
-        const Event b = calendar.pop();
-        heapOrder.emplace_back(a.at, a.seq);
-        calendarOrder.emplace_back(b.at, b.seq);
-        now = a.at;
+        const auto next = std::min_element(pending.begin(), pending.end());
+        const Event popped = heap.pop();
+        ASSERT_EQ(std::make_pair(popped.at, popped.seq), *next) << "trial " << trial;
+        pending.erase(next);
+        now = popped.at;
       }
     }
-    ASSERT_EQ(heapOrder, calendarOrder) << "trial " << trial;
   }
-}
-
-TEST(CalendarScheduler, HandlesSparseOverflowDays) {
-  CalendarScheduler calendar;
-  calendar.push(Event{0.0001, 0, {}});
-  calendar.push(Event{5.0e6, 1, {}});
-  calendar.push(Event{9.0e8, 2, {}});
-  calendar.push(Event{9.0e8, 3, {}});
-  const auto order = drain(calendar);
-  const std::vector<std::pair<SimTime, std::uint64_t>> expected{
-      {0.0001, 0}, {5.0e6, 1}, {9.0e8, 2}, {9.0e8, 3}};
-  EXPECT_EQ(order, expected);
-  EXPECT_GT(calendar.overflowScans(), 0u);
-}
-
-TEST(CalendarScheduler, ResizesWithOccupancy) {
-  CalendarScheduler calendar;
-  util::Rng rng{7};
-  const std::size_t initial = calendar.bucketCount();
-  for (std::uint64_t i = 0; i < 4096; ++i) {
-    calendar.push(Event{rng.uniform(0.0, 1.0), i, {}});
-  }
-  EXPECT_GT(calendar.bucketCount(), initial);
-  SimTime last = -1.0;
-  while (!calendar.empty()) {
-    const Event event = calendar.pop();
-    ASSERT_GE(event.at, last);
-    last = event.at;
-  }
-  EXPECT_EQ(calendar.bucketCount(), initial);
 }
 
 }  // namespace

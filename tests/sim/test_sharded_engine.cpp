@@ -1,9 +1,8 @@
-// ShardedEngine: parallel drive of independent engines, lockstep windows,
-// and aggregate accounting.
+// ShardedEngine: parallel drive of independent engines and aggregate
+// accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <vector>
 
 #include "sim/sharded_engine.hpp"
 
@@ -33,7 +32,7 @@ std::uint64_t plantChains(ShardedEngine& engines, int links) {
 }
 
 TEST(ShardedEngine, FreeRunDrainsEveryShard) {
-  ShardedEngine engines{EngineOptions{.seed = 9, .shards = 4}};
+  ShardedEngine engines{EngineOptions{.shards = 4}};
   ASSERT_EQ(engines.shardCount(), 4u);
   const std::uint64_t perShard = plantChains(engines, 50);
   const SimTime end = engines.run();
@@ -45,7 +44,7 @@ TEST(ShardedEngine, FreeRunDrainsEveryShard) {
 }
 
 TEST(ShardedEngine, RunUntilRespectsLimit) {
-  ShardedEngine engines{EngineOptions{.seed = 9, .shards = 2}};
+  ShardedEngine engines{EngineOptions{.shards = 2}};
   plantChains(engines, 1000);
   engines.runUntil(10.0);
   EXPECT_FALSE(engines.empty());
@@ -55,32 +54,8 @@ TEST(ShardedEngine, RunUntilRespectsLimit) {
   EXPECT_GT(engines.eventsProcessed(), atLimit);
 }
 
-TEST(ShardedEngine, LockstepWindowsMatchFreeRun) {
-  // Shared-nothing shards must produce identical per-shard traces whether
-  // they free-run or advance in conservative windows.
-  std::vector<std::uint64_t> freeCounts;
-  std::vector<SimTime> freeClocks;
-  {
-    ShardedEngine engines{EngineOptions{.seed = 5, .shards = 3}};
-    plantChains(engines, 200);
-    engines.run();
-    for (std::size_t s = 0; s < engines.shardCount(); ++s) {
-      freeCounts.push_back(engines.shard(s).eventsProcessed());
-      freeClocks.push_back(engines.shard(s).now());
-    }
-  }
-  ShardedEngine engines{
-      EngineOptions{.seed = 5, .shards = 3, .syncWindowSeconds = 2.0}};
-  plantChains(engines, 200);
-  engines.run();
-  for (std::size_t s = 0; s < engines.shardCount(); ++s) {
-    EXPECT_EQ(engines.shard(s).eventsProcessed(), freeCounts[s]) << "shard " << s;
-    EXPECT_DOUBLE_EQ(engines.shard(s).now(), freeClocks[s]) << "shard " << s;
-  }
-}
-
 TEST(ShardedEngine, CancelOpenWindowsSweepsAllShards) {
-  ShardedEngine engines{EngineOptions{.seed = 1, .shards = 2}};
+  ShardedEngine engines{EngineOptions{.shards = 2}};
   std::atomic<int> closed{0};
   for (std::size_t s = 0; s < engines.shardCount(); ++s) {
     engines.shard(s).scheduleWindow(1.0, 100.0, [] {}, [&closed] { ++closed; });

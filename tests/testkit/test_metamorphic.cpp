@@ -30,26 +30,17 @@ TEST(Metamorphic, SameSeedIsBitIdentical) {
   EXPECT_FALSE(difference.has_value()) << *difference;
 }
 
-TEST(Metamorphic, CellifiedCaseIsBitIdenticalAcrossBackendsAndShards) {
-  // The determinism contract across every engine configuration: scheduler
-  // backend and shard count are pure performance choices. Compare full
-  // RunAudits via describeDifference, not just wall times.
+TEST(Metamorphic, CellifiedCaseIsBitIdenticalAcrossShards) {
+  // The determinism contract across engine configurations: the shard count
+  // is a pure performance choice. Compare full RunAudits via
+  // describeDifference, not just wall times.
   const GeneratedCase base = materialize(generateShape(0xCE11));
   const GeneratedCase celled = cellify(base, 4);
-  const pfs::RunResult reference =
-      runCase(celled, sim::EngineOptions{.scheduler = sim::SchedulerKind::Calendar,
-                                         .shards = 1});
-  const sim::EngineOptions variants[] = {
-      {.scheduler = sim::SchedulerKind::Heap, .shards = 1},
-      {.scheduler = sim::SchedulerKind::Calendar, .shards = 2},
-      {.scheduler = sim::SchedulerKind::Calendar, .shards = 4},
-      {.scheduler = sim::SchedulerKind::Heap, .shards = 4},
-  };
-  for (const sim::EngineOptions& options : variants) {
-    const auto difference = describeDifference(reference, runCase(celled, options));
-    EXPECT_FALSE(difference.has_value())
-        << sim::schedulerKindName(options.scheduler) << "/" << options.shards
-        << " shards: " << *difference;
+  const pfs::RunResult reference = runCase(celled, sim::EngineOptions{.shards = 1});
+  for (const std::uint32_t shards : {2u, 4u}) {
+    const pfs::RunResult sharded = runCase(celled, sim::EngineOptions{.shards = shards});
+    const auto difference = describeDifference(reference, sharded);
+    EXPECT_FALSE(difference.has_value()) << shards << " shards: " << *difference;
   }
 }
 

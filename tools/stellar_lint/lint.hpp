@@ -1,8 +1,8 @@
 // stellar-lint: a repo-specific determinism & concurrency static-analysis
 // pass (DESIGN.md §7).
 //
-// The simulator's headline guarantees — ML-DET/ML-SHARD bit-identity
-// across schedulers and shards, KILL-RESUME byte-identical session replay,
+// The simulator's headline guarantees — ML-DET replay and ML-SHARD
+// bit-identity across shard counts, KILL-RESUME byte-identical session replay,
 // campaign resume — are dynamic properties: the testkit can only catch a
 // hazard a seed happens to exercise. stellar-lint proves the *static*
 // preconditions of those guarantees at build time: no wall-clock or
